@@ -29,7 +29,6 @@ from .grassmann import (
     TIME,
     TimeSeries,
     const,
-    mul,
     normalize,
     partial,
     poly,
@@ -72,7 +71,6 @@ from .fields import (
     CanonicalFields,
     RelationReport,
     VectorField,
-    apply,
     bracket,
     canonical_fields,
     verify_relations,

@@ -18,17 +18,11 @@ from pathlib import Path
 
 from .dsl import Diagnostic, DslError, SourceSpan, parse
 from .errors import SjetError
-from .fields import bracket, verify_relations
-from .geometry import compose, Morphism, jet_of_curve
+from .fields import VectorField, bracket, verify_relations
+from .geometry import compose, Jet, Morphism, jet_of_curve
 from .grassmann import EVEN, Generator
 from .latex import emit_latex
-from .printer import (
-    format_field,
-    format_jet,
-    format_morphism,
-    format_polynomial,
-    format_relation_report,
-)
+from .printer import format_field, format_jet, format_morphism, format_polynomial
 from .prolongation import (
     antitangent_morphism,
     homothety,
@@ -154,6 +148,17 @@ def _morphism_strings(phi: Morphism) -> dict[str, str]:
     }
 
 
+def _jet_strings(jet: Jet) -> dict[str, list[str]]:
+    return {
+        g.name: [format_polynomial(c) for c in jet.coefficients[g]]
+        for g in jet.chart.coordinates
+    }
+
+
+def _field_strings(field: VectorField) -> dict[str, str]:
+    return {g.name: format_polynomial(field.values[g]) for g in field.chart.coordinates}
+
+
 def _lookup(table: dict, name: str, what: str):
     try:
         return table[name]
@@ -168,12 +173,14 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise SjetError(f"{what} must be a rational number, got {text!r}") from None
 
 
-def _morphism_result(kind, args, inputs, phi) -> CommandResult:
+def _emit(kind, args, inputs, value, json_result, text_fn) -> CommandResult:
+    """``value`` in the requested ``--format``; ``json_result(value)`` is the
+    JSON ``result`` and ``text_fn(value)`` the text payload."""
     if args.format == "json":
-        return CommandResult(0, _json_payload(kind, inputs, _morphism_strings(phi)))
+        return CommandResult(0, _json_payload(kind, inputs, json_result(value)))
     if args.format == "latex":
-        return CommandResult(0, emit_latex(phi))
-    return CommandResult(0, format_morphism(phi))
+        return CommandResult(0, emit_latex(value))
+    return CommandResult(0, text_fn(value))
 
 
 def _cmd_check(doc, args) -> CommandResult:
@@ -189,14 +196,14 @@ def _cmd_prolong(doc, args) -> CommandResult:
     phi = _lookup(doc.morphisms, args.morphism, "morphism")
     lifted = prolong_morphism(phi, args.order)
     inputs = {"morphism": args.morphism, "order": args.order}
-    return _morphism_result("prolong", args, inputs, lifted)
+    return _emit("prolong", args, inputs, lifted, _morphism_strings, format_morphism)
 
 
 def _cmd_pit(doc, args) -> CommandResult:
     phi = _lookup(doc.morphisms, args.morphism, "morphism")
     lifted = antitangent_morphism(phi)
     inputs = {"morphism": args.morphism}
-    return _morphism_result("pit", args, inputs, lifted)
+    return _emit("pit", args, inputs, lifted, _morphism_strings, format_morphism)
 
 
 def _cmd_interchange(doc, args) -> CommandResult:
@@ -239,15 +246,7 @@ def _cmd_jet(doc, args) -> CommandResult:
     at = _parse_rational(args.at, "--at")
     jet = jet_of_curve(curve, args.order, at)
     inputs = {"curve": args.curve, "order": args.order, "at": str(at)}
-    if args.format == "json":
-        result = {
-            g.name: [format_polynomial(c) for c in jet.coefficients[g]]
-            for g in jet.chart.coordinates
-        }
-        return CommandResult(0, _json_payload("jet", inputs, result))
-    if args.format == "latex":
-        return CommandResult(0, emit_latex(jet))
-    return CommandResult(0, format_jet(jet))
+    return _emit("jet", args, inputs, jet, _jet_strings, format_jet)
 
 
 def _cmd_bracket(doc, args) -> CommandResult:
@@ -255,15 +254,7 @@ def _cmd_bracket(doc, args) -> CommandResult:
     right = _lookup(doc.fields, args.right, "field")
     result_field = bracket(left, right)
     inputs = {"left": args.left, "right": args.right}
-    if args.format == "json":
-        result = {
-            g.name: format_polynomial(result_field.values[g])
-            for g in result_field.chart.coordinates
-        }
-        return CommandResult(0, _json_payload("bracket", inputs, result))
-    if args.format == "latex":
-        return CommandResult(0, emit_latex(result_field))
-    return CommandResult(0, format_field(result_field))
+    return _emit("bracket", args, inputs, result_field, _field_strings, format_field)
 
 
 def _cmd_homothety(doc, args) -> CommandResult:
@@ -275,7 +266,7 @@ def _cmd_homothety(doc, args) -> CommandResult:
         lam = _parse_rational(args.lam, "--lambda")
     phi = homothety(jets, lam)
     inputs = {"chart": args.chart, "order": args.order, "lambda": args.lam}
-    return _morphism_result("homothety", args, inputs, phi)
+    return _emit("homothety", args, inputs, phi, _morphism_strings, format_morphism)
 
 
 def _suite_relations(doc, k):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import AlgebraError, DomainError, ParityError
-from .geometry import Chart
+from .geometry import Chart, foreign_names
 from .grassmann import (
     EVEN,
     Generator,
@@ -63,9 +63,8 @@ class VectorField:
             p = _as_polynomial(values.get(g, SuperPolynomial.zero()))
             if p is NotImplemented:
                 raise TypeError("field values must be polynomials")
-            foreign = p.generators() - set(chart.coordinates)
-            if foreign:
-                names = ", ".join(sorted(x.name for x in foreign))
+            names = foreign_names(p, chart)
+            if names:
                 raise AlgebraError(
                     f"value on '{g.name}' uses generators outside "
                     f"'{chart.name}': {names}"
@@ -82,13 +81,12 @@ class VectorField:
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
         """Evaluate the derivation on a chart function."""
-        present = f.generators()
-        foreign = present - set(self.chart.coordinates)
-        if foreign:
-            names = ", ".join(sorted(x.name for x in foreign))
+        names = foreign_names(f, self.chart)
+        if names:
             raise AlgebraError(
                 f"function uses generators outside '{self.chart.name}': {names}"
             )
+        present = f.generators()
         result = SuperPolynomial.zero()
         for g in self.chart.coordinates:
             if g not in present:
@@ -152,10 +150,6 @@ class VectorField:
 
     def __repr__(self):
         return f"VectorField(chart={self.chart.name!r}, parity={self.parity})"
-
-
-def apply(X: VectorField, f: SuperPolynomial) -> SuperPolynomial:
-    return X.apply(f)
 
 
 def bracket(X: VectorField, Y: VectorField) -> VectorField:

@@ -113,6 +113,15 @@ class ParameterAlgebra:
         return f"ParameterAlgebra({self.name!r}, {len(self.generators)} generators)"
 
 
+def foreign_names(p: SuperPolynomial, allowed) -> str:
+    """The sorted, comma-separated names of generators of p not in ``allowed``.
+
+    ``allowed`` is a chart or a parameter algebra; the result is empty when p
+    uses only its generators.
+    """
+    return ", ".join(sorted(g.name for g in p.generators() if g not in allowed))
+
+
 def _check_disjoint(chart: Chart, params: ParameterAlgebra):
     shared = {g.name for g in chart.coordinates} & {
         g.name for g in params.generators
@@ -256,9 +265,8 @@ class SPoint:
                 raise ParityError(
                     f"value of '{g.name}' must be homogeneous of parity {g.parity}"
                 )
-            foreign = p.generators() - set(params.generators)
-            if foreign:
-                names = ", ".join(sorted(x.name for x in foreign))
+            names = foreign_names(p, params)
+            if names:
                 raise DeclarationError(
                     f"value of '{g.name}' uses generators outside '{params.name}': {names}"
                 )
@@ -310,9 +318,8 @@ class SCurve:
                         f"coefficient {r} of '{g.name}' must be homogeneous "
                         f"of parity {g.parity}"
                     )
-                foreign = c.generators() - set(params.generators)
-                if foreign:
-                    names = ", ".join(sorted(x.name for x in foreign))
+                names = foreign_names(c, params)
+                if names:
                     raise DeclarationError(
                         f"component '{g.name}' uses generators outside "
                         f"'{params.name}': {names}"

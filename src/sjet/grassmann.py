@@ -122,9 +122,6 @@ class Monomial:
             yield g
         yield from self.odd
 
-    def is_constant(self) -> bool:
-        return not self.even and not self.odd
-
 
 _EMPTY_MONOMIAL = Monomial()
 
@@ -246,9 +243,6 @@ class SuperPolynomial:
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(mono, Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get(_EMPTY_MONOMIAL, Fraction(0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -424,10 +418,6 @@ def normalize(
     return out
 
 
-def mul(f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
-    return f * g
-
-
 def partial(f: SuperPolynomial, v: Generator) -> SuperPolynomial:
     """Left partial derivative of f with respect to the generator v."""
     data: dict[Monomial, Fraction] = {}
@@ -468,6 +458,30 @@ def partial(f: SuperPolynomial, v: Generator) -> SuperPolynomial:
     return out
 
 
+def _evaluate(f: SuperPolynomial, image, one):
+    """The value of f with every generator g replaced by ``image(g)``.
+
+    Works in any ring whose elements add, multiply and scale by rationals:
+    ``SuperPolynomial`` for substitution, ``TimeSeries`` for composition with
+    series; ``one`` is that ring's unit. Factors are multiplied in canonical
+    monomial order, and powers of each even image are computed once.
+    """
+    powers: dict[Generator, list] = {}
+    result = one * 0
+    for mono, coeff in f.items():
+        term = one * coeff
+        for g, e in mono.even:
+            base = image(g)
+            cache = powers.setdefault(g, [one])
+            while len(cache) <= e:
+                cache.append(cache[-1] * base)
+            term = term * cache[e]
+        for g in mono.odd:
+            term = term * image(g)
+        result = result + term
+    return result
+
+
 def substitute(
     f: SuperPolynomial,
     assignment: Mapping[Generator, SuperPolynomial],
@@ -479,7 +493,6 @@ def substitute(
     is independent of how f was originally written down.
     """
     checked: set[Generator] = set()
-    powers: dict[Generator, list[SuperPolynomial]] = {}
 
     def image(g: Generator) -> SuperPolynomial:
         try:
@@ -494,19 +507,7 @@ def substitute(
             checked.add(g)
         return value
 
-    result = SuperPolynomial()
-    for mono, coeff in f.items():
-        term = SuperPolynomial.scalar(coeff)
-        for g, e in mono.even:
-            base = image(g)
-            cache = powers.setdefault(g, [SuperPolynomial.one()])
-            while len(cache) <= e:
-                cache.append(cache[-1] * base)
-            term = term * cache[e]
-        for g in mono.odd:
-            term = term * image(g)
-        result = result + term
-    return result
+    return _evaluate(f, image, SuperPolynomial.one())
 
 
 class TimeSeries:
@@ -695,24 +696,10 @@ def series_compose(
                     f"series for '{g.name}' must have coefficients of parity {g.parity}"
                 )
 
-    powers: dict[Generator, list[TimeSeries]] = {}
-
     def image(g: Generator) -> TimeSeries:
         try:
             return series[g]
         except KeyError:
             raise CoverageError(f"no series for generator '{g.name}'") from None
 
-    result = TimeSeries.zero(k)
-    for mono, coeff in f.items():
-        term = TimeSeries.constant(coeff, k)
-        for g, e in mono.even:
-            base = image(g)
-            cache = powers.setdefault(g, [TimeSeries.constant(1, k)])
-            while len(cache) <= e:
-                cache.append(cache[-1] * base)
-            term = term * cache[e]
-        for g in mono.odd:
-            term = term * image(g)
-        result = result + term
-    return result
+    return _evaluate(f, image, TimeSeries.constant(1, k))

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from .fields import RelationReport, VectorField
 from .geometry import Jet, Morphism
-from .grassmann import Generator, Monomial, SuperPolynomial
-from .printer import sorted_terms
+from .grassmann import SuperPolynomial
+from .printer import render_terms
 
 _NAME = re.compile(r"^(d\.)?(.+?)(?:@(\d+))?$")
 
@@ -52,34 +52,10 @@ def latex_scalar(c: Fraction) -> str:
     return rf"{sign}\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
 
 
-def _latex_factors(mono: Monomial) -> list[str]:
-    parts = []
-    for g, e in mono.even:
-        body = latex_name(g.name)
-        parts.append(body if e == 1 else f"{body}^{{{e}}}")
-    parts.extend(latex_name(g.name) for g in mono.odd)
-    return parts
-
-
 def latex_polynomial(p: SuperPolynomial) -> str:
-    terms = sorted_terms(p)
-    if not terms:
-        return "0"
-    pieces = []
-    for i, (mono, coeff) in enumerate(terms):
-        factors = _latex_factors(mono)
-        magnitude = abs(coeff)
-        if not factors:
-            body = latex_scalar(magnitude)
-        elif magnitude == 1:
-            body = r"\,".join(factors)
-        else:
-            body = r"\,".join([latex_scalar(magnitude)] + factors)
-        if i == 0:
-            pieces.append(f"-{body}" if coeff < 0 else body)
-        else:
-            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
-    return "".join(pieces)
+    return render_terms(
+        p, lambda g: latex_name(g.name), "{}^{{{}}}", latex_scalar, r"\,"
+    )
 
 
 def latex_morphism(phi: Morphism) -> str:

@@ -53,33 +53,39 @@ def format_scalar(c: Fraction) -> str:
     return str(c)
 
 
-def _monomial_factors(mono: Monomial) -> list[str]:
-    parts = []
-    for g, e in mono.even:
-        parts.append(g.name if e == 1 else f"{g.name}^{e}")
-    parts.extend(g.name for g in mono.odd)
-    return parts
+def render_terms(p: SuperPolynomial, name, power: str, scalar, join: str) -> str:
+    """Render p term by term in canonical order.
 
-
-def format_polynomial(p: SuperPolynomial) -> str:
+    ``name(g)`` spells a generator, ``power.format(body, e)`` an even factor
+    with exponent e > 1, ``scalar(c)`` a positive coefficient, and ``join``
+    separates the factors of one term. A unit coefficient is left out; the
+    sign of each term is written in front of it.
+    """
     terms = sorted_terms(p)
     if not terms:
         return "0"
     pieces = []
     for i, (mono, coeff) in enumerate(terms):
-        factors = _monomial_factors(mono)
+        factors = [
+            name(g) if e == 1 else power.format(name(g), e) for g, e in mono.even
+        ]
+        factors.extend(name(g) for g in mono.odd)
         magnitude = abs(coeff)
         if not factors:
-            body = format_scalar(magnitude)
+            body = scalar(magnitude)
         elif magnitude == 1:
-            body = "*".join(factors)
+            body = join.join(factors)
         else:
-            body = "*".join([format_scalar(magnitude)] + factors)
+            body = join.join([scalar(magnitude)] + factors)
         if i == 0:
             pieces.append(f"-{body}" if coeff < 0 else body)
         else:
             pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
     return "".join(pieces)
+
+
+def format_polynomial(p: SuperPolynomial) -> str:
+    return render_terms(p, lambda g: g.name, "{}^{}", format_scalar, "*")
 
 
 def format_series(series: TimeSeries) -> str:
@@ -91,12 +97,13 @@ def format_series(series: TimeSeries) -> str:
     return format_polynomial(total)
 
 
+def _coordinate_lines(coordinates, values, render, label: str = "") -> str:
+    """One ``<label><name> = <rendered value>`` line per coordinate."""
+    return "\n".join(f"{label}{g.name} = {render(values[g])}" for g in coordinates)
+
+
 def format_morphism(phi: Morphism) -> str:
-    lines = [
-        f"{y.name} = {format_polynomial(phi.assignment[y])}"
-        for y in phi.target.coordinates
-    ]
-    return "\n".join(lines)
+    return _coordinate_lines(phi.target.coordinates, phi.assignment, format_polynomial)
 
 
 def format_jet(jet: Jet) -> str:
@@ -108,27 +115,17 @@ def format_jet(jet: Jet) -> str:
 
 
 def format_point(point: SPoint) -> str:
-    lines = [
-        f"{g.name} = {format_polynomial(point.values[g])}"
-        for g in point.chart.coordinates
-    ]
-    return "\n".join(lines)
+    return _coordinate_lines(point.chart.coordinates, point.values, format_polynomial)
 
 
 def format_curve(curve: SCurve) -> str:
-    lines = [
-        f"{g.name} = {format_series(curve.components[g])}"
-        for g in curve.chart.coordinates
-    ]
-    return "\n".join(lines)
+    return _coordinate_lines(curve.chart.coordinates, curve.components, format_series)
 
 
 def format_field(field: VectorField) -> str:
-    lines = [
-        f"d/d {g.name} = {format_polynomial(field.values[g])}"
-        for g in field.chart.coordinates
-    ]
-    return "\n".join(lines)
+    return _coordinate_lines(
+        field.chart.coordinates, field.values, format_polynomial, "d/d "
+    )
 
 
 def format_relation_report(report: RelationReport) -> str:

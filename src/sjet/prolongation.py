@@ -63,12 +63,6 @@ class AntitangentChart(Chart):
     def differential_of(self, base_coordinate: Generator) -> Generator:
         return self._differentials[base_coordinate]
 
-    def base_of(self, differential: Generator) -> Generator:
-        return self._bases[differential]
-
-    def is_differential(self, g: Generator) -> bool:
-        return g in self._bases
-
     @property
     def differentials(self) -> tuple[Generator, ...]:
         return self.coordinates[len(self.base.coordinates) :]
@@ -108,12 +102,10 @@ def prolong_chart(chart: Chart, k: int) -> ProlongedChart:
 def antitangent_chart(chart: Chart) -> AntitangentChart:
     """Adjoin one parity-flipped differential to every coordinate."""
     differentials = {}
-    bases = {}
     coords = list(chart.coordinates)
     for g in chart.coordinates:
         d = Generator(f"d.{g.name}", g.parity + Parity.ODD, weight=g.weight)
         differentials[g] = d
-        bases[d] = g
         coords.append(d)
     extended = AntitangentChart(
         name=f"PiT({chart.name})",
@@ -121,7 +113,6 @@ def antitangent_chart(chart: Chart) -> AntitangentChart:
         base=chart,
     )
     object.__setattr__(extended, "_differentials", differentials)
-    object.__setattr__(extended, "_bases", bases)
     return extended
 
 

@@ -166,6 +166,9 @@ class TestSubstitution:
     def test_missing_generator_is_rejected(self):
         with pytest.raises(CoverageError):
             substitute(poly(X) * poly(TH1), {X: poly(X)})
+        y = Generator("y", EVEN)
+        with pytest.raises(CoverageError, match="no series for generator 'y'"):
+            series_compose(poly(X) * poly(y), {X: TimeSeries([0, 1])})
 
 
 class TestTimeSeries:

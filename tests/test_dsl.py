@@ -1,5 +1,7 @@
 """Surface syntax, diagnostics, canonical printing and LaTeX output."""
 
+from fractions import Fraction
+
 import pytest
 
 from sjet import (
@@ -153,11 +155,25 @@ class TestDiagnostics:
         assert 0 <= span.start < span.end <= len(text)
 
 
+def _mixed_signs():
+    """-3/2*x^2*th + y - 1 + 1/3*x*y with x, th, y declared in that order."""
+    x = Generator("x", EVEN)
+    th = Generator("th", ODD)
+    y = Generator("y", EVEN)
+    return (
+        -Fraction(3, 2) * poly(x) ** 2 * poly(th)
+        + poly(y)
+        - 1
+        + Fraction(1, 3) * poly(x) * poly(y)
+    )
+
+
 class TestCanonicalPrinting:
     def test_normalised_sign_is_printed(self):
         th1 = Generator("th1", ODD)
         th2 = Generator("th2", ODD)
         assert print_canonical(normalize([(1, [th2, th1])])) == "-th1*th2"
+        assert print_canonical(_mixed_signs()) == "-3/2*x^2*th + 1/3*x*y + y - 1"
 
     def test_jet_coordinate_naming(self):
         chart = Chart("PR", (Generator("x", EVEN),))
@@ -240,8 +256,9 @@ class TestLatex:
         assert emit_latex(report) == r"[\Delta_1, d] = d \;\times"
 
     def test_fraction_coefficients(self):
-        from fractions import Fraction
-
         chart = Chart("LC", (Generator("x", EVEN),))
         x = chart.coordinate("x")
         assert emit_latex(Fraction(1, 2) * poly(x)) == r"\tfrac{1}{2}\,x"
+        assert emit_latex(_mixed_signs()) == (
+            r"-\tfrac{3}{2}\,x^{2}\,th + \tfrac{1}{3}\,x\,y + y - 1"
+        )
