@@ -375,6 +375,9 @@ def run(argv) -> CommandResult:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
         return CommandResult(2, "", [Diagnostic(str(exc), _NO_SPAN)])
+    except UnicodeDecodeError as exc:
+        message = f"{args.file}: not valid UTF-8 at byte {exc.start}: {exc.reason}"
+        return CommandResult(2, "", [Diagnostic(message, _NO_SPAN)])
     try:
         doc = parse(text)
         return _COMMANDS[args.command](doc, args)

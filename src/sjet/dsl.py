@@ -16,11 +16,13 @@ Grammar (ASCII source, "#" starts a line comment):
 
 Expressions use "+", "-", "*", "^" with nonnegative integer powers,
 rational literals "p/q", and parentheses; juxtaposition is not
-multiplication. Curve components may use the reserved time variable "t".
-Morphism bodies assign every target coordinate an expression over the
-source coordinates. A field without "order" lives on its chart; with
-"order k" it lives on the parity-reversed lift of the k-th jet chart, and
-coordinates missing from its body get the value zero.
+multiplication. An expression may nest at most MAX_NESTING (100) levels of
+"(" and unary "-", counted together; deeper input is a located error.
+Curve components may use the reserved time variable "t". Morphism bodies
+assign every target coordinate an expression over the source coordinates.
+A field without "order" lives on its chart; with "order k" it lives on the
+parity-reversed lift of the k-th jet chart, and coordinates missing from its
+body get the value zero.
 
 Expressions are normalised into canonical polynomials while parsing, and
 every diagnostic carries a span into the source text.
@@ -166,10 +168,17 @@ class Document:
 _RESERVED_TIME = "t"
 
 
+# Levels of "(" and unary "-" in one expression. Each "(" costs five frames of
+# this recursive-descent parser, so the limit keeps it far from Python's
+# recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open "(" and unary "-" in the current expression
 
     # -- token plumbing ---------------------------------------------------
 
@@ -184,6 +193,16 @@ class _Parser:
 
     def fail(self, message: str, span: SourceSpan):
         raise DslError([Diagnostic(message, span)])
+
+    def enter(self, token: Token):
+        """Open one more level of nesting at ``token``; refuse past the limit."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(
+                f"expression nested deeper than {MAX_NESTING} levels "
+                "of '(' or unary '-'",
+                token.span,
+            )
 
     def expect(self, kind: str, what: str | None = None) -> Token:
         token = self.peek()
@@ -526,7 +545,10 @@ class _Parser:
         token = self.peek()
         if token.kind == "-":
             self.advance()
-            return -self.parse_factor(resolver)
+            self.enter(token)
+            value = -self.parse_factor(resolver)
+            self.depth -= 1
+            return value
         return self.parse_power(resolver)
 
     def parse_power(self, resolver) -> SuperPolynomial:
@@ -556,8 +578,10 @@ class _Parser:
             return poly(generator)
         if token.kind == "(":
             self.advance()
+            self.enter(token)
             value = self.parse_expr(resolver)
             self.expect(")")
+            self.depth -= 1
             return value
         found = token.text or "end of input"
         self.fail(f"expected an expression, found {found!r}", token.span)

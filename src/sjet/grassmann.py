@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import reduce
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -41,7 +43,7 @@ class Parity(IntEnum):
     ODD = 1
 
     def __add__(self, other):
-        return Parity((int(self) + int(other)) % 2)
+        return ODD if (int(self) + int(other)) % 2 else EVEN
 
     __radd__ = __add__
 
@@ -84,21 +86,45 @@ class Generator:
 TIME = Generator("t", EVEN)
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """A canonical monomial.
+    """A canonical monomial: an immutable value, equal and hashed by content.
 
     ``even`` holds (generator, exponent) pairs sorted by declaration index
     with exponents >= 1; ``odd`` holds distinct odd generators in strictly
-    increasing declaration order.
+    increasing declaration order. The hash is computed once, at construction,
+    because every arithmetic step looks monomials up in term dicts.
     """
 
-    even: tuple[tuple[Generator, int], ...] = ()
-    odd: tuple[Generator, ...] = ()
+    __slots__ = ("even", "odd", "_hash")
+
+    def __init__(self, even: tuple = (), odd: tuple = ()):
+        _set_even(self, even)
+        _set_odd(self, odd)
+        _set_hash(self, hash((even, odd)))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"Monomial is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.even == other.even
+            and self.odd == other.odd
+        )
+
+    def __repr__(self):
+        return f"Monomial(even={self.even!r}, odd={self.odd!r})"
 
     @property
     def parity(self) -> Parity:
-        return Parity(len(self.odd) % 2)
+        return ODD if len(self.odd) % 2 else EVEN
 
     @property
     def even_degree(self) -> int:
@@ -122,6 +148,11 @@ class Monomial:
             yield g
         yield from self.odd
 
+
+# Slot setters that bypass the refusing __setattr__; only __init__ uses them.
+_set_even = Monomial.even.__set__
+_set_odd = Monomial.odd.__set__
+_set_hash = Monomial._hash.__set__
 
 _EMPTY_MONOMIAL = Monomial()
 
@@ -174,28 +205,81 @@ def _merge_odd(a: tuple[Generator, ...], b: tuple[Generator, ...]):
     return sign, tuple(out)
 
 
-def _mul_monomials(a: Monomial, b: Monomial):
-    sign, odd = _merge_odd(a.odd, b.odd)
-    if sign == 0:
-        return 0, None
-    if not a.even:
-        even = b.even
-    elif not b.even:
-        even = a.even
-    else:
-        exps: dict[Generator, int] = {g: e for g, e in a.even}
-        for g, e in b.even:
-            exps[g] = exps.get(g, 0) + e
-        even = tuple(sorted(exps.items(), key=lambda ge: ge[0].index))
-    return sign, Monomial(even, odd)
+def _merge_even(a, b):
+    """Merge two canonical even parts, adding the exponents of shared generators."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (ga, ea), (gb, eb) = a[i], b[j]
+        if ga is gb:
+            out.append((ga, ea + eb))
+            i += 1
+            j += 1
+        elif ga.index < gb.index:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
-def _coerce_scalar(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _coerce_scalar(value) -> Scalar:
+    """``value`` as a stored coefficient: ``int`` when whole, else ``Fraction``."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)  # also turns a bool into a plain int
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _settled(sums: dict) -> "SuperPolynomial":
+    """The polynomial of raw coefficient sums: zeros dropped, whole sums as int."""
+    out = SuperPolynomial.__new__(SuperPolynomial)
+    out._terms = {
+        m: c.numerator if c.denominator == 1 else c for m, c in sums.items() if c
+    }
+    return out
+
+
+def _mul_into(sums: list[dict], a, b, scale: Scalar = 1) -> None:
+    """Add scale * a * b into the raw coefficient sums, in place.
+
+    ``a``, ``b`` and ``sums`` are coefficient sequences of truncated series
+    (a polynomial is the sequence of length one); powers of t past the end of
+    ``sums`` are dropped. ``_settled`` turns each sum into a polynomial.
+    """
+    k = len(sums)
+    for i, pa in enumerate(a):
+        if not pa._terms:
+            continue
+        terms_a = (
+            pa._terms.items()
+            if scale == 1
+            else [(m, c * scale) for m, c in pa._terms.items()]
+        )
+        for j in range(k - i):
+            terms_b = b[j]._terms.items()
+            if not terms_b:
+                continue
+            data = sums[i + j]
+            get = data.get
+            for ma, ca in terms_a:
+                for mb, cb in terms_b:
+                    sign, odd = _merge_odd(ma.odd, mb.odd)
+                    if not sign:
+                        continue
+                    mono = Monomial(_merge_even(ma.even, mb.even), odd)
+                    if sign > 0:
+                        data[mono] = get(mono, 0) + ca * cb
+                    else:
+                        data[mono] = get(mono, 0) - ca * cb
 
 
 class SuperPolynomial:
@@ -204,7 +288,7 @@ class SuperPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        data: dict[Monomial, Fraction] = {}
+        data: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
                 c = _coerce_scalar(coeff)
@@ -229,20 +313,24 @@ class SuperPolynomial:
     @classmethod
     def generator(cls, g: Generator) -> "SuperPolynomial":
         if g.parity is ODD:
-            return cls({Monomial(odd=(g,)): Fraction(1)})
-        return cls({Monomial(even=((g, 1),)): Fraction(1)})
+            return cls({Monomial(odd=(g,)): 1})
+        return cls({Monomial(even=((g, 1),)): 1})
 
     # -- inspection ------------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
+    def terms(self) -> Mapping[Monomial, int | Fraction]:
+        """A copy of the term dict. Each coefficient is nonzero and stored as
+        ``int`` when whole, as ``Fraction`` otherwise."""
         return dict(self._terms)
 
     def items(self):
         return self._terms.items()
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial) -> int | Fraction:
+        """The coefficient of ``mono``: ``int`` when whole, else ``Fraction``;
+        0 when ``mono`` is absent."""
+        return self._terms.get(mono, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -288,15 +376,10 @@ class SuperPolynomial:
         if other is NotImplemented:
             return NotImplemented
         data = dict(self._terms)
+        get = data.get
         for mono, coeff in other._terms.items():
-            acc = data.get(mono, Fraction(0)) + coeff
-            if acc:
-                data[mono] = acc
-            else:
-                data.pop(mono, None)
-        out = SuperPolynomial()
-        out._terms = data
-        return out
+            data[mono] = get(mono, 0) + coeff
+        return _settled(data)
 
     __radd__ = __add__
 
@@ -313,29 +396,14 @@ class SuperPolynomial:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, SuperPolynomial):
+            sums: list[dict] = [{}]
+            _mul_into(sums, (self,), (other,))
+            return _settled(sums[0])
         if isinstance(other, (int, Fraction)):
             c = _coerce_scalar(other)
-            if not c:
-                return SuperPolynomial()
-            out = SuperPolynomial()
-            out._terms = {m: k * c for m, k in self._terms.items()}
-            return out
-        if not isinstance(other, SuperPolynomial):
-            return NotImplemented
-        data: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                sign, mono = _mul_monomials(ma, mb)
-                if sign == 0:
-                    continue
-                acc = data.get(mono, Fraction(0)) + ca * cb * sign
-                if acc:
-                    data[mono] = acc
-                else:
-                    data.pop(mono, None)
-        out = SuperPolynomial()
-        out._terms = data
-        return out
+            return _settled({m: k * c for m, k in self._terms.items()})
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -387,7 +455,8 @@ def normalize(
     are rejected.
     """
     allowed = None if scope is None else set(scope)
-    data: dict[Monomial, Fraction] = {}
+    data: dict[Monomial, Scalar] = {}
+    get = data.get
     for coeff, factors in raw_terms:
         c = _coerce_scalar(coeff)
         if not c:
@@ -408,19 +477,14 @@ def normalize(
             tuple(sorted(evens.items(), key=lambda ge: ge[0].index)),
             odd,
         )
-        acc = data.get(mono, Fraction(0)) + c * sign
-        if acc:
-            data[mono] = acc
-        else:
-            data.pop(mono, None)
-    out = SuperPolynomial()
-    out._terms = data
-    return out
+        data[mono] = get(mono, 0) + c * sign
+    return _settled(data)
 
 
 def partial(f: SuperPolynomial, v: Generator) -> SuperPolynomial:
     """Left partial derivative of f with respect to the generator v."""
-    data: dict[Monomial, Fraction] = {}
+    # distinct monomials have distinct derivatives, so nothing accumulates
+    data: dict[Monomial, Scalar] = {}
     if v.parity is EVEN:
         for mono, coeff in f.items():
             for pos, (g, e) in enumerate(mono.even):
@@ -433,53 +497,50 @@ def partial(f: SuperPolynomial, v: Generator) -> SuperPolynomial:
                             + ((g, e - 1),)
                             + mono.even[pos + 1 :]
                         )
-                    new = Monomial(even, mono.odd)
-                    acc = data.get(new, Fraction(0)) + coeff * e
-                    if acc:
-                        data[new] = acc
-                    else:
-                        data.pop(new, None)
+                    data[Monomial(even, mono.odd)] = coeff * e
                     break
     else:
         for mono, coeff in f.items():
             for pos, g in enumerate(mono.odd):
                 if g is v:
                     # moving v to the front passes pos odd factors
-                    sign = -1 if pos % 2 else 1
                     new = Monomial(mono.even, mono.odd[:pos] + mono.odd[pos + 1 :])
-                    acc = data.get(new, Fraction(0)) + coeff * sign
-                    if acc:
-                        data[new] = acc
-                    else:
-                        data.pop(new, None)
+                    data[new] = -coeff if pos % 2 else coeff
                     break
-    out = SuperPolynomial()
-    out._terms = data
-    return out
+    return _settled(data)
 
 
 def _evaluate(f: SuperPolynomial, image, one):
     """The value of f with every generator g replaced by ``image(g)``.
 
-    Works in any ring whose elements add, multiply and scale by rationals:
-    ``SuperPolynomial`` for substitution, ``TimeSeries`` for composition with
-    series; ``one`` is that ring's unit. Factors are multiplied in canonical
-    monomial order, and powers of each even image are computed once.
+    The images live in the ring of ``one``, its unit: ``SuperPolynomial`` for
+    substitution, ``TimeSeries`` for composition with series. Factors are
+    multiplied in canonical monomial order, powers of each even image are
+    computed once, and each term's last product is added straight into the
+    running sums.
     """
+    series = isinstance(one, TimeSeries)
+
+    def parts(x):
+        return x._coeffs if series else (x,)
+
     powers: dict[Generator, list] = {}
-    result = one * 0
+    sums: list[dict] = [{} for _ in parts(one)]
     for mono, coeff in f.items():
-        term = one * coeff
+        factors = []
         for g, e in mono.even:
-            base = image(g)
-            cache = powers.setdefault(g, [one])
+            cache = powers.get(g)
+            if cache is None:
+                cache = powers[g] = [one, image(g)]
             while len(cache) <= e:
-                cache.append(cache[-1] * base)
-            term = term * cache[e]
-        for g in mono.odd:
-            term = term * image(g)
-        result = result + term
-    return result
+                cache.append(cache[-1] * cache[1])
+            factors.append(cache[e])
+        factors.extend(image(g) for g in mono.odd)
+        *head, last = factors or (one,)
+        term = reduce(operator.mul, head) if head else one
+        _mul_into(sums, parts(term), parts(last), coeff)
+    values = [_settled(d) for d in sums]
+    return TimeSeries._trusted(values) if series else values[0]
 
 
 def substitute(
@@ -538,8 +599,16 @@ class TimeSeries:
         self._coeffs = tuple(coeffs)
 
     @classmethod
+    def _trusted(cls, coefficients: Iterable[SuperPolynomial]) -> "TimeSeries":
+        """A series from polynomials known to be free of the time variable;
+        arithmetic builds its results here, skipping the constructor's scan."""
+        out = object.__new__(cls)
+        out._coeffs = tuple(coefficients)
+        return out
+
+    @classmethod
     def zero(cls, order: int) -> "TimeSeries":
-        return cls([SuperPolynomial.zero()] * (order + 1))
+        return cls._trusted([SuperPolynomial.zero()] * (order + 1))
 
     @classmethod
     def constant(cls, value: SuperPolynomial | Scalar, order: int) -> "TimeSeries":
@@ -600,10 +669,10 @@ class TimeSeries:
         if not isinstance(other, TimeSeries):
             return NotImplemented
         self._require_same_order(other)
-        return TimeSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
+        return TimeSeries._trusted(a + b for a, b in zip(self._coeffs, other._coeffs))
 
     def __neg__(self):
-        return TimeSeries([-c for c in self._coeffs])
+        return TimeSeries._trusted(-c for c in self._coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, TimeSeries):
@@ -611,24 +680,17 @@ class TimeSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TimeSeries([c * other for c in self._coeffs])
+        if isinstance(other, TimeSeries):
+            self._require_same_order(other)
+            sums: list[dict] = [{} for _ in self._coeffs]
+            _mul_into(sums, self._coeffs, other._coeffs)
+            return TimeSeries._trusted(map(_settled, sums))
         if isinstance(other, SuperPolynomial):
+            # the public constructor checks that other brings in no t
             return TimeSeries([other * c for c in self._coeffs])
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        k = self.order
-        coeffs = [SuperPolynomial.zero() for _ in range(k + 1)]
-        for i, a in enumerate(self._coeffs):
-            if a.is_zero():
-                continue
-            for j in range(k + 1 - i):
-                b = other._coeffs[j]
-                if b.is_zero():
-                    continue
-                coeffs[i + j] = coeffs[i + j] + a * b
-        return TimeSeries(coeffs)
+        if isinstance(other, (int, Fraction)):
+            return TimeSeries._trusted(c * other for c in self._coeffs)
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, SuperPolynomial)):
@@ -657,7 +719,7 @@ class TimeSeries:
             for s in range(r, k + 1):
                 acc = acc + self._coeffs[s] * (math.comb(s, r) * t0 ** (s - r))
             coeffs.append(acc)
-        return TimeSeries(coeffs)
+        return TimeSeries._trusted(coeffs)
 
     def truncate(self, order: int) -> "TimeSeries":
         if order < 0:
@@ -665,11 +727,11 @@ class TimeSeries:
         if order >= self.order:
             if order == self.order:
                 return self
-            return TimeSeries(
+            return TimeSeries._trusted(
                 list(self._coeffs)
                 + [SuperPolynomial.zero()] * (order - self.order)
             )
-        return TimeSeries(self._coeffs[: order + 1])
+        return TimeSeries._trusted(self._coeffs[: order + 1])
 
 
 def series_compose(

@@ -348,7 +348,7 @@ def weight_report(phi: Morphism) -> WeightReport:
     rows = []
     for y in phi.target.coordinates:
         p = phi.assignment[y]
-        homogeneous = all(m.weight == y.weight for m in p.terms)
-        triangular = all(m.max_factor_weight() <= y.weight for m in p.terms)
+        homogeneous = all(m.weight == y.weight for m, _ in p.items())
+        triangular = all(m.max_factor_weight() <= y.weight for m, _ in p.items())
         rows.append(WeightCheck(y, homogeneous, triangular))
     return WeightReport(tuple(rows))

@@ -11,6 +11,7 @@ from sjet import (
     DomainError,
     EVEN,
     Generator,
+    Monomial,
     ODD,
     OrderError,
     ParityError,
@@ -86,7 +87,7 @@ class TestCanonicalForm:
         assert print_canonical(normalize([(1, [TH2, TH1])])) == "-th1*th2"
 
     def test_repeated_odd_factor_vanishes(self):
-        assert normalize([(1, [TH1, TH1])]).is_zero
+        assert normalize([(1, [TH1, TH1])]).is_zero()
 
     def test_three_factor_reordering_uses_the_transposition_sign(self):
         got = normalize([(1, [TH3, TH1, TH2])])
@@ -110,7 +111,7 @@ class TestCanonicalForm:
 
     def test_zero_coefficients_are_dropped(self):
         p = normalize([(1, [X]), (-1, [X])])
-        assert p.is_zero
+        assert p.is_zero()
         assert not p.terms
 
 
@@ -143,7 +144,7 @@ class TestDerivatives:
         assert partial(poly(X) ** 2 * poly(TH1), X) == 2 * poly(X) * poly(TH1)
 
     def test_derivative_in_an_absent_generator_is_zero(self):
-        assert partial(poly(X), TH1).is_zero
+        assert partial(poly(X), TH1).is_zero()
 
 
 class TestSubstitution:
@@ -175,6 +176,10 @@ class TestTimeSeries:
     def test_coefficients_may_not_contain_the_time_variable(self):
         with pytest.raises(DeclarationError):
             TimeSeries([poly(TIME)])
+        with pytest.raises(DeclarationError):
+            TimeSeries([1, poly(X) * poly(TIME) ** 2])
+        with pytest.raises(DeclarationError):
+            TimeSeries([1, poly(X)]) * poly(TIME)
 
     def test_from_polynomial_truncates_high_powers(self):
         cubic = poly(TIME) ** 3
@@ -263,7 +268,7 @@ class TestAlgebraLaws:
     @given(polys)
     def test_odd_part_squares_to_zero(self, f):
         odd = parity_part(f, ODD)
-        assert (odd * odd).is_zero
+        assert (odd * odd).is_zero()
 
     @settings(max_examples=60, deadline=None)
     @given(polys, polys, substitutions())
@@ -297,9 +302,64 @@ class TestAlgebraLaws:
         for _ in range(50):
             factors = rand_monomial(rng, POOL)
             p = normalize([(1, factors)])
-            if p.is_zero:
+            if p.is_zero():
                 continue
             odd_count = sum(1 for g in factors if g.parity == ODD)
             assert p.homogeneous_parity() == (
                 ODD if odd_count % 2 else EVEN
             )
+
+
+def _assert_stored_exactly(p):
+    """Every coefficient is an int when whole, else a proper Fraction; no bools."""
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_whole_coefficients_are_stored_as_int(self, seed):
+        rng = seeded(seed)
+        f = rand_poly(rng, POOL, max_terms=4)
+        g = rand_poly(rng, POOL, max_terms=4)
+        sigma = {
+            h: parity_part(rand_poly(rng, POOL2, max_terms=3), h.parity)
+            for h in POOL
+        }
+        pgens = rand_params(rng).generators
+        series = {h: rand_series(rng, pgens, 2, h.parity) for h in POOL}
+        results = [f + g, f + f, f - g, f * g, 2 * f, f**3]
+        results += [partial(f, v) for v in POOL]
+        results.append(substitute(f, sigma))
+        results += series_compose(f, series).coefficients
+        for p in [f, g, *results]:
+            _assert_stored_exactly(p)
+
+    def test_bools_are_stored_as_int(self):
+        for p in (const(True), normalize([(True, [X])]), poly(X) * True):
+            _assert_stored_exactly(p)
+            assert type(p.coefficient(next(iter(p.terms)))) is int
+
+    @settings(max_examples=80, deadline=None)
+    @given(raw_terms, raw_terms)
+    def test_product_matches_normalising_the_concatenated_factors(self, a, b):
+        joined = [(ca * cb, fa + fb) for ca, fa in a for cb, fb in b]
+        assert normalize(a) * normalize(b) == normalize(joined)
+
+    def test_monomials_are_values(self):
+        direct = Monomial(((HA, 2),), (HP, HQ))
+        (by_product,) = (poly(HQ) * poly(HA) * poly(HP) * poly(HA)).terms
+        (by_normalize,) = normalize([(1, [HQ, HA, HP, HA])]).terms
+        (by_partial,) = partial(poly(HA) ** 3 * poly(HP) * poly(HQ), HA).terms
+        for other in (by_product, by_normalize, by_partial):
+            assert other == direct
+            assert hash(other) == hash(direct)
+        assert direct != Monomial(((HA, 2),), (HP,))
+        assert {direct: 1} == {by_product: 1}
+        with pytest.raises(AttributeError):
+            direct.even = ()
+        with pytest.raises(AttributeError):
+            direct._hash = 0
+        with pytest.raises(AttributeError):
+            del direct.odd

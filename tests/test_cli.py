@@ -76,6 +76,27 @@ class TestExitCodes:
         result = run(["check", "no-such-file.sman"])
         assert result.exit_code == 2
 
+    def test_non_utf8_input_is_exit_two_with_the_byte_offset(self, tmp_path):
+        path = tmp_path / "latin1.sman"
+        path.write_bytes(b"chart M (x: even);\n# caf\xe9\n")
+        result = run(["check", str(path)])
+        assert result.exit_code == 2
+        assert result.payload == ""
+        (diagnostic,) = result.diagnostics
+        assert "not valid UTF-8 at byte 24" in diagnostic.message
+
+    def test_deep_nesting_is_exit_two(self, tmp_path):
+        path = tmp_path / "deep.sman"
+        body = "(" * 3000 + "x" + ")" * 3000
+        path.write_text(
+            f"chart M (x: even);\nmorphism f : M -> M {{ x = {body}; }}\n",
+            encoding="utf-8",
+        )
+        result = run(["check", str(path)])
+        assert result.exit_code == 2
+        assert result.payload == ""
+        assert "nested deeper than" in result.diagnostics[0].message
+
     def test_unknown_subcommand(self, capsys):
         result = run(["frobnicate", "x.sman"])
         assert result.exit_code == 2

@@ -26,6 +26,7 @@ from sjet import (
     prolong_morphism,
     verify_relations,
 )
+from sjet.dsl import MAX_NESTING
 from sjet.fields import RelationReport, RelationRow
 from support import rand_document_text, seeded
 
@@ -146,6 +147,22 @@ class TestDiagnostics:
     def test_unexpected_character(self):
         d = self._diag("chart M (x: even) $;")
         assert "unexpected character" in d.message
+
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", "")])
+    def test_nesting_past_the_limit_is_located(self, opener, closer):
+        head = "chart M (x: even);\nmorphism f : M -> M { x = "
+        text = head + opener * 3000 + "x" + closer * 3000 + "; }"
+        d = self._diag(text)
+        assert f"nested deeper than {MAX_NESTING} levels" in d.message
+        assert d.span.start == len(head) + MAX_NESTING
+        assert (d.line, d.column) == (2, 27 + MAX_NESTING)
+
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", "")])
+    def test_nesting_at_the_limit_parses(self, opener, closer):
+        body = opener * MAX_NESTING + "x" + closer * MAX_NESTING
+        doc = parse(f"chart M (x: even);\nmorphism f : M -> M {{ x = {body}; }}")
+        (x,) = doc.charts["M"].coordinates
+        assert doc.morphisms["f"].assignment[x] == poly(x)
 
     def test_spans_sit_inside_the_source(self):
         text = "chart M (x: even);\nmorphism f : M -> M { x = z; }"
