@@ -2,19 +2,20 @@
 
 Every command reads one document file, computes, and prints a deterministic
 payload to stdout. Exit codes: 0 on success, 1 only when a verification
-suite reports a failed identity, 2 for any input or usage error. Diagnostics
-go to stderr; set SJET_COLOR=1 to colour them.
+suite reports a failed identity, 2 for any input or usage error, 3
+(EXIT_INTERNAL) for an internal error, that is a bug in sjet; it prints one
+line, and its traceback too when SJET_DEBUG=1. Diagnostics go to stderr; set
+SJET_COLOR=1 to colour them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .dsl import Diagnostic, DslError, SourceSpan, parse
 from .errors import SjetError
@@ -34,12 +35,13 @@ from .prolongation import (
 
 _NO_SPAN = SourceSpan(0, 0, 0, 0, 0, 0)
 
+EXIT_INTERNAL = 3
 
-@dataclass
-class CommandResult:
+
+class CommandResult(NamedTuple):
     exit_code: int
     payload: str = ""
-    diagnostics: list[Diagnostic] = dataclass_field(default_factory=list)
+    diagnostics: tuple[Diagnostic, ...] = ()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,6 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _json_payload(kind: str, inputs: dict, result, diagnostics=()) -> str:
+    import json  # only JSON output pays for importing it
+
     return json.dumps(
         {
             "kind": kind,
@@ -365,7 +369,8 @@ _COMMANDS = {
 
 
 def run(argv) -> CommandResult:
-    """Execute one command line; never raises on user errors."""
+    """Execute one command line. Never raises: an error in the input gives
+    exit 2, any other exception (a bug) exit EXIT_INTERNAL."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -374,17 +379,24 @@ def run(argv) -> CommandResult:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
-        return CommandResult(2, "", [Diagnostic(str(exc), _NO_SPAN)])
+        return CommandResult(2, "", (Diagnostic(str(exc), _NO_SPAN),))
     except UnicodeDecodeError as exc:
         message = f"{args.file}: not valid UTF-8 at byte {exc.start}: {exc.reason}"
-        return CommandResult(2, "", [Diagnostic(message, _NO_SPAN)])
+        return CommandResult(2, "", (Diagnostic(message, _NO_SPAN),))
     try:
         doc = parse(text)
         return _COMMANDS[args.command](doc, args)
     except DslError as exc:
-        return CommandResult(2, "", list(exc.diagnostics))
+        return CommandResult(2, "", tuple(exc.diagnostics))
     except SjetError as exc:
-        return CommandResult(2, "", [Diagnostic(str(exc), _NO_SPAN)])
+        return CommandResult(2, "", (Diagnostic(str(exc), _NO_SPAN),))
+    except Exception as exc:  # a bug in sjet, never a verdict on the input
+        if os.environ.get("SJET_DEBUG", "0") == "1":
+            import traceback
+
+            traceback.print_exc()
+        message = " ".join(f"internal error: {type(exc).__name__}: {exc}".split())
+        return CommandResult(EXIT_INTERNAL, "", (Diagnostic(message, _NO_SPAN),))
 
 
 def _colour_enabled() -> bool:

@@ -31,8 +31,8 @@ every diagnostic carries a span into the source text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import SjetError
 from .geometry import Chart, Morphism, ParameterAlgebra, SCurve
@@ -50,8 +50,7 @@ from .grassmann import (
 from .prolongation import antitangent_chart, prolong_chart
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     start: int
     end: int
     line: int
@@ -67,8 +66,7 @@ class SourceSpan:
         )
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     message: str
     span: SourceSpan
 
@@ -106,8 +104,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     span: SourceSpan
@@ -150,19 +147,19 @@ def _lex(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass
 class Document:
     """Parsed declarations, in source order, resolved to engine objects."""
 
-    declarations: list[tuple[str, str]] = dataclass_field(default_factory=list)
-    charts: dict[str, Chart] = dataclass_field(default_factory=dict)
-    params: dict[str, ParameterAlgebra] = dataclass_field(default_factory=dict)
-    morphisms: dict[str, Morphism] = dataclass_field(default_factory=dict)
-    curves: dict[str, SCurve] = dataclass_field(default_factory=dict)
-    fields: dict[str, VectorField] = dataclass_field(default_factory=dict)
-    field_orders: dict[str, int | None] = dataclass_field(default_factory=dict)
-    field_bases: dict[str, str] = dataclass_field(default_factory=dict)
-    spans: dict[tuple[str, str], SourceSpan] = dataclass_field(default_factory=dict)
+    def __init__(self):
+        self.declarations: list[tuple[str, str]] = []
+        self.charts: dict[str, Chart] = {}
+        self.params: dict[str, ParameterAlgebra] = {}
+        self.morphisms: dict[str, Morphism] = {}
+        self.curves: dict[str, SCurve] = {}
+        self.fields: dict[str, VectorField] = {}
+        self.field_orders: dict[str, int | None] = {}
+        self.field_bases: dict[str, str] = {}
+        self.spans: dict[tuple[str, str], SourceSpan] = {}
 
 
 _RESERVED_TIME = "t"

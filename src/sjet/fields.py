@@ -17,9 +17,9 @@ which verify_relations recomputes exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from operator import attrgetter
+from typing import Mapping, NamedTuple
 
 from .errors import AlgebraError, DomainError, ParityError
 from .geometry import Chart, foreign_names
@@ -31,10 +31,15 @@ from .grassmann import (
     Scalar,
     SuperPolynomial,
     _as_polynomial,
+    _mul_into,
+    _settled,
     partial,
     poly,
 )
 from .prolongation import antitangent_chart, prolong_chart
+
+
+_INDEX = attrgetter("index")
 
 
 class VectorField:
@@ -79,6 +84,14 @@ class VectorField:
         self.parity = parity
         self.values = out
 
+    @classmethod
+    def _trusted(cls, chart, parity, values) -> "VectorField":
+        """A field from values known to be valid, one per chart coordinate;
+        ``bracket`` builds its results here, skipping the constructor's checks."""
+        out = object.__new__(cls)
+        out.chart, out.parity, out.values = chart, parity, values
+        return out
+
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
         """Evaluate the derivation on a chart function."""
         names = foreign_names(f, self.chart)
@@ -86,19 +99,20 @@ class VectorField:
             raise AlgebraError(
                 f"function uses generators outside '{self.chart.name}': {names}"
             )
-        present = f.generators()
-        result = SuperPolynomial.zero()
-        for g in self.chart.coordinates:
-            if g not in present:
-                continue
+        sums: list[dict] = [{}]
+        self._apply_into(sums, f, 1)
+        return _settled(sums[0])
+
+    def _apply_into(self, sums: list[dict], f: SuperPolynomial, scale) -> None:
+        """Add scale * X(f) into the raw sums ``sums[0]`` (see ``_mul_into``).
+
+        Visits only the generators of f, in declaration order; f must use
+        only coordinates of the chart.
+        """
+        for g in sorted(f.generators(), key=_INDEX):
             value = self.values[g]
-            if value.is_zero():
-                continue
-            df = partial(f, g)
-            if df.is_zero():
-                continue
-            result = result + value * df
-        return result
+            if value:
+                _mul_into(sums, (value,), (partial(f, g),), scale)
 
     __call__ = apply
 
@@ -159,8 +173,12 @@ def bracket(X: VectorField, Y: VectorField) -> VectorField:
     koszul = -1 if (X.parity is ODD and Y.parity is ODD) else 1
     values = {}
     for g in X.chart.coordinates:
-        values[g] = X.apply(Y.values[g]) - koszul * Y.apply(X.values[g])
-    return VectorField(X.chart, X.parity + Y.parity, values)
+        sums: list[dict] = [{}]
+        X._apply_into(sums, Y.values[g], 1)
+        Y._apply_into(sums, X.values[g], -koszul)
+        values[g] = _settled(sums[0])
+    # the bracket of two valid fields is valid: no re-validation
+    return VectorField._trusted(X.chart, X.parity + Y.parity, values)
 
 
 def weight_field(chart: Chart) -> VectorField:
@@ -172,8 +190,7 @@ def weight_field(chart: Chart) -> VectorField:
     )
 
 
-@dataclass(frozen=True)
-class CanonicalFields:
+class CanonicalFields(NamedTuple):
     """The five canonical fields on the parity-reversed k-th jet lift."""
 
     chart: Chart
@@ -227,8 +244,7 @@ def canonical_fields(chart: Chart, k: int) -> CanonicalFields:
     return CanonicalFields(ambient, k, d, delta1, delta2, delta, J)
 
 
-@dataclass(frozen=True)
-class RelationRow:
+class RelationRow(NamedTuple):
     """One bracket identity: [left, right] compared against an expected field."""
 
     block: int
@@ -242,8 +258,7 @@ class RelationRow:
         return f"[{self.left},{self.right}] = {self.expected}"
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     chart: Chart
     order: int
     rows: tuple[RelationRow, ...]

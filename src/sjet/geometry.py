@@ -10,9 +10,8 @@ time is the tuple of series coefficients re-expanded about that time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import (
     ComparisonError,
@@ -30,6 +29,7 @@ from .grassmann import (
     Scalar,
     SuperPolynomial,
     TimeSeries,
+    _Frozen,
     _as_polynomial,
     poly,
     substitute,
@@ -45,18 +45,18 @@ def _check_unique_names(kind: str, generators):
     return seen
 
 
-@dataclass(frozen=True, eq=False)
-class Chart:
-    """An ordered coordinate system of even and odd generators."""
+class Chart(_Frozen):
+    """An ordered coordinate system of even and odd generators, equal only to itself."""
 
-    name: str
-    coordinates: tuple[Generator, ...]
+    __slots__ = ("name", "coordinates", "_by_name", "_coord_set")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_by_name", _check_unique_names("coordinate", self.coordinates)
+    def __init__(self, name: str, coordinates: tuple[Generator, ...]):
+        self._freeze(
+            name=name,
+            coordinates=coordinates,
+            _by_name=_check_unique_names("coordinate", coordinates),
+            _coord_set=frozenset(coordinates),
         )
-        object.__setattr__(self, "_coord_set", frozenset(self.coordinates))
 
     @property
     def dimension(self) -> tuple[int, int]:
@@ -82,18 +82,18 @@ class Chart:
         return f"Chart({self.name!r}, dim=({n}|{m}))"
 
 
-@dataclass(frozen=True, eq=False)
-class ParameterAlgebra:
+class ParameterAlgebra(_Frozen):
     """Auxiliary generators that parameterise points and curves."""
 
-    name: str
-    generators: tuple[Generator, ...]
+    __slots__ = ("name", "generators", "_by_name", "_gen_set")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_by_name", _check_unique_names("parameter", self.generators)
+    def __init__(self, name: str, generators: tuple[Generator, ...]):
+        self._freeze(
+            name=name,
+            generators=generators,
+            _by_name=_check_unique_names("parameter", generators),
+            _gen_set=frozenset(generators),
         )
-        object.__setattr__(self, "_gen_set", frozenset(self.generators))
 
     def generator(self, name: str) -> Generator:
         try:
@@ -212,16 +212,14 @@ def compose(phi: Morphism, psi: Morphism) -> Morphism:
     return Morphism(psi.source, phi.target, assignment)
 
 
-@dataclass(frozen=True)
-class CoordinateCheck:
+class CoordinateCheck(NamedTuple):
     coordinate: Generator
     expected: Parity
     found: str
     ok: bool
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(NamedTuple):
     rows: tuple[CoordinateCheck, ...]
 
     @property

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import reduce
 from fractions import Fraction
@@ -57,8 +56,25 @@ ODD = Parity.ODD
 _declaration_counter = itertools.count()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Generator:
+class _Frozen:
+    """Base of slotted classes whose attributes are set once, in ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable; cannot change {name!r}"
+        )
+
+    __delattr__ = __setattr__
+
+    def _freeze(self, **attributes):
+        """Set each attribute once, bypassing the refusing ``__setattr__``."""
+        for name, value in attributes.items():
+            object.__setattr__(self, name, value)
+
+
+class Generator(_Frozen):
     """A named symbol with a fixed parity and an integer weight.
 
     Generators compare by identity: declaring the same name twice gives two
@@ -67,14 +83,14 @@ class Generator:
     order in which terms were written down.
     """
 
-    name: str
-    parity: Parity
-    weight: int = 0
-    index: int = field(default_factory=lambda: next(_declaration_counter))
+    __slots__ = ("name", "parity", "weight", "index")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, parity: Parity, weight: int = 0, index=None):
+        if not name:
             raise DeclarationError("generator name must be nonempty")
+        if index is None:
+            index = next(_declaration_counter)
+        self._freeze(name=name, parity=parity, weight=weight, index=index)
 
     def __repr__(self):
         return f"Generator({self.name!r}, {self.parity})"
@@ -86,7 +102,7 @@ class Generator:
 TIME = Generator("t", EVEN)
 
 
-class Monomial:
+class Monomial(_Frozen):
     """A canonical monomial: an immutable value, equal and hashed by content.
 
     ``even`` holds (generator, exponent) pairs sorted by declaration index
@@ -101,11 +117,6 @@ class Monomial:
         _set_even(self, even)
         _set_odd(self, odd)
         _set_hash(self, hash((even, odd)))
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"Monomial is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
 
     def __hash__(self):
         return self._hash

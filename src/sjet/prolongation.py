@@ -17,10 +17,9 @@ interchange morphism realises the identification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .errors import DomainError, ParityError
 from .geometry import Chart, Morphism, compose, validate_morphism
@@ -38,12 +37,14 @@ from .grassmann import (
 )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ProlongedChart(Chart):
     """Chart of k-th order jets over a base chart."""
 
-    base: Chart = None
-    order: int = 0
+    __slots__ = ("base", "order", "_jets")
+
+    def __init__(self, name, coordinates, base: Chart, order: int, jets: dict):
+        super().__init__(name, coordinates)
+        self._freeze(base=base, order=order, _jets=jets)
 
     def jet(self, base_coordinate: Generator, r: int) -> Generator:
         """The jet coordinate of a base coordinate at order r."""
@@ -54,11 +55,14 @@ class ProlongedChart(Chart):
         return f"ProlongedChart({self.name!r}, order={self.order}, dim=({n}|{m}))"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class AntitangentChart(Chart):
     """Chart extended by one parity-flipped differential per coordinate."""
 
-    base: Chart = None
+    __slots__ = ("base", "_differentials")
+
+    def __init__(self, name, coordinates, base: Chart, differentials: dict):
+        super().__init__(name, coordinates)
+        self._freeze(base=base, _differentials=differentials)
 
     def differential_of(self, base_coordinate: Generator) -> Generator:
         return self._differentials[base_coordinate]
@@ -88,14 +92,7 @@ def prolong_chart(chart: Chart, k: int) -> ProlongedChart:
             jet = Generator(f"{g.name}@{r}", g.parity, weight=r)
             coordinates.append(jet)
             jets[(g, r)] = jet
-    prolonged = ProlongedChart(
-        name=f"T{k}({chart.name})",
-        coordinates=tuple(coordinates),
-        base=chart,
-        order=k,
-    )
-    object.__setattr__(prolonged, "_jets", jets)
-    return prolonged
+    return ProlongedChart(f"T{k}({chart.name})", tuple(coordinates), chart, k, jets)
 
 
 @lru_cache(maxsize=None)
@@ -107,13 +104,7 @@ def antitangent_chart(chart: Chart) -> AntitangentChart:
         d = Generator(f"d.{g.name}", g.parity + Parity.ODD, weight=g.weight)
         differentials[g] = d
         coords.append(d)
-    extended = AntitangentChart(
-        name=f"PiT({chart.name})",
-        coordinates=tuple(coords),
-        base=chart,
-    )
-    object.__setattr__(extended, "_differentials", differentials)
-    return extended
+    return AntitangentChart(f"PiT({chart.name})", tuple(coords), chart, differentials)
 
 
 def _require_valid(phi: Morphism):
@@ -231,18 +222,19 @@ def homothety(chart: ProlongedChart, lam: LambdaLike) -> Morphism:
             raise TypeError("homothety factor must be rational, generator or polynomial")
     if not factor.is_homogeneous(Parity.EVEN):
         raise ParityError("homothety factor must be even")
-    assignment = {
-        g: (factor ** g.weight) * poly(g) for g in chart.coordinates
-    }
+    powers = {w: factor ** w for w in {g.weight for g in chart.coordinates}}
+    assignment = {g: powers[g.weight] * poly(g) for g in chart.coordinates}
     return Morphism(chart, chart, assignment)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ProductChart(Chart):
     """Chart with one renamed coordinate block per factor."""
 
-    left: Chart = None
-    right: Chart = None
+    __slots__ = ("left", "right", "_left_map", "_right_map")
+
+    def __init__(self, name, coordinates, left, right, left_map, right_map):
+        super().__init__(name, coordinates)
+        self._freeze(left=left, right=right, _left_map=left_map, _right_map=right_map)
 
     def from_left(self, g: Generator) -> Generator:
         return self._left_map[g]
@@ -272,15 +264,9 @@ def product_chart(left: Chart, right: Chart) -> ProductChart:
         renamed = Generator(f"{rp}_{g.name}", g.parity, weight=g.weight)
         right_map[g] = renamed
         coords.append(renamed)
-    product = ProductChart(
-        name=f"{left.name}x{right.name}",
-        coordinates=tuple(coords),
-        left=left,
-        right=right,
+    return ProductChart(
+        f"{left.name}x{right.name}", tuple(coords), left, right, left_map, right_map
     )
-    object.__setattr__(product, "_left_map", left_map)
-    object.__setattr__(product, "_right_map", right_map)
-    return product
 
 
 def product_morphism(phi: Morphism, psi: Morphism) -> Morphism:
@@ -319,8 +305,7 @@ def product_prolong_identification(left: Chart, right: Chart, k: int) -> Morphis
     return Morphism(source, target, assignment)
 
 
-@dataclass(frozen=True)
-class WeightCheck:
+class WeightCheck(NamedTuple):
     coordinate: Generator
     homogeneous: bool
     triangular: bool
@@ -330,8 +315,7 @@ class WeightCheck:
         return self.homogeneous and self.triangular
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(NamedTuple):
     rows: tuple[WeightCheck, ...]
 
     @property

@@ -237,7 +237,7 @@ def test_criterion_07_contact_criterion(capsys):
                 g: rand_poly(rng, params.generators, parity=g.parity)
                 for g in chart.coordinates
             }
-            if all(value.is_zero for value in bumps.values()):
+            if all(value.is_zero() for value in bumps.values()):
                 g0 = chart.coordinates[0]
                 if g0.parity is EVEN:
                     bumps[g0] = const(1)

@@ -129,6 +129,54 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert "FAILED" in result.payload
 
+    @pytest.fixture
+    def broken_check(self, monkeypatch):
+        import sjet.cli as cli_module
+
+        def boom(doc, args):
+            raise ZeroDivisionError("a bug\nover two lines")
+
+        monkeypatch.setitem(cli_module._COMMANDS, "check", boom)
+
+    def test_internal_error_has_its_own_exit_code(self, doc_file, broken_check):
+        from sjet.cli import EXIT_INTERNAL
+
+        result = run(["check", doc_file])
+        assert EXIT_INTERNAL not in (0, 1, 2)
+        assert result.exit_code == EXIT_INTERNAL
+        assert result.payload == ""
+        (diagnostic,) = result.diagnostics
+        assert diagnostic.message == (
+            "internal error: ZeroDivisionError: a bug over two lines"
+        )
+
+    def test_internal_error_prints_one_line(
+        self, doc_file, broken_check, capsys, monkeypatch
+    ):
+        from sjet.cli import EXIT_INTERNAL
+
+        monkeypatch.delenv("SJET_DEBUG", raising=False)
+        assert main(["check", doc_file]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: 0:0: internal error: ZeroDivisionError: a bug over two lines"
+        ]
+
+    def test_internal_error_traceback_on_request(
+        self, doc_file, broken_check, capsys, monkeypatch
+    ):
+        from sjet.cli import EXIT_INTERNAL
+
+        monkeypatch.setenv("SJET_DEBUG", "1")
+        assert main(["check", doc_file]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert "in boom" in err
+        assert err.endswith(
+            "error: 0:0: internal error: ZeroDivisionError: a bug over two lines\n"
+        )
+
 
 class TestCommands:
     def test_prolong_text(self, doc_file):

@@ -88,7 +88,7 @@ class TestParsing:
         )
         assert field.chart is expected_chart
         x1 = expected_chart.coordinate("x@1")
-        assert field.values[x1].is_zero
+        assert field.values[x1].is_zero()
 
     def test_comments_and_whitespace_are_skipped(self):
         doc = parse("# heading\nchart M (x: even); # trailing\n")

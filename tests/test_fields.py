@@ -38,6 +38,14 @@ def rand_field(rng, chart, parity):
     return VectorField(chart, parity, values)
 
 
+def dense_apply(field, f):
+    """The sum over every chart coordinate g of field.values[g] * partial(f, g)."""
+    total = const(0)
+    for g in field.chart.coordinates:
+        total = total + field.values[g] * partial(f, g)
+    return total
+
+
 class TestApply:
     def test_weight_field_scales_second_jets_by_two(self):
         lifted = prolong_chart(M, 2)
@@ -62,8 +70,28 @@ class TestApply:
         chart = Chart("FF", (Generator("ffx", EVEN),))
         ffx = chart.coordinate("ffx")
         field = VectorField(chart, EVEN, {ffx: const(1)})
-        with pytest.raises(AlgebraError):
-            field.apply(poly(X))
+        message = "function uses generators outside 'FF': fth, fx"
+        with pytest.raises(AlgebraError, match=f"^{message}$"):
+            field.apply(poly(X) * poly(TH) + poly(ffx))
+
+    def test_apply_matches_the_dense_sum_over_the_chart(self):
+        rng = seeded(97)
+        for trial in range(40):
+            chart = rand_chart(rng)
+            if trial % 2:
+                # declaration order differs from chart order
+                chart = Chart(f"{chart.name}r", chart.coordinates[::-1])
+            field = rand_field(rng, chart, rng.choice((EVEN, ODD)))
+            f = rand_poly(rng, chart.coordinates, max_terms=4)
+            assert field.apply(f) == dense_apply(field, f)
+
+    def test_apply_of_a_sparse_field_on_a_lifted_chart(self):
+        fields = canonical_fields(M, 3)
+        rng = seeded(101)
+        for _ in range(10):
+            f = rand_poly(rng, fields.chart.coordinates, max_terms=4)
+            for field in fields.by_name().values():
+                assert field.apply(f) == dense_apply(field, f)
 
     def test_graded_leibniz_on_random_products(self):
         rng = seeded(71)
@@ -92,13 +120,13 @@ class TestVectorFieldConstruction:
 
     def test_missing_coordinates_default_to_zero(self):
         field = VectorField(M, ODD, {X: poly(TH)})
-        assert field.values[TH].is_zero
+        assert field.values[TH].is_zero()
 
 
 class TestBracket:
     def test_self_bracket_of_the_differential_vanishes(self):
         fields = canonical_fields(M, 2)
-        assert bracket(fields.d, fields.d).is_zero
+        assert bracket(fields.d, fields.d).is_zero()
 
     def test_differential_degree_field_normalises_the_differential(self):
         fields = canonical_fields(M, 2)
@@ -108,7 +136,7 @@ class TestBracket:
         rng = seeded(73)
         chart = rand_chart(rng)
         field = rand_field(rng, chart, EVEN)
-        assert bracket(field, field).is_zero
+        assert bracket(field, field).is_zero()
 
     def test_jet_weight_against_shift_on_first_jets(self):
         fields = canonical_fields(M, 1)
@@ -118,6 +146,22 @@ class TestBracket:
         got = bracket(fields.delta2, fields.J)
         assert got.values[x1] == -poly(dx0)
         assert fields.J.values[x1] == poly(dx0)
+
+    def test_bracket_matches_the_commutator_of_applications(self):
+        rng = seeded(103)
+        for _ in range(25):
+            chart = rand_chart(rng)
+            pa = rng.choice((EVEN, ODD))
+            pb = rng.choice((EVEN, ODD))
+            a = rand_field(rng, chart, pa)
+            b = rand_field(rng, chart, pb)
+            sign = -1 if (pa == ODD and pb == ODD) else 1
+            got = bracket(a, b)
+            assert got.parity is pa + pb
+            assert set(got.values) == set(chart.coordinates)
+            for g in chart.coordinates:
+                expected = a.apply(b.values[g]) - sign * b.apply(a.values[g])
+                assert got.values[g] == expected
 
     def test_chart_mismatch_is_rejected(self):
         other = Chart("FO", (Generator("fox", EVEN),))
@@ -167,8 +211,8 @@ class TestCanonicalFields:
         dx1 = chart.coordinate("d.flx@1")
         assert fields.d.values[x0] == poly(dx0)
         assert fields.d.values[x1] == poly(dx1)
-        assert fields.d.values[dx0].is_zero
-        assert fields.d.values[dx1].is_zero
+        assert fields.d.values[dx0].is_zero()
+        assert fields.d.values[dx1].is_zero()
 
     def test_shift_moves_only_first_jets_down(self):
         line = Chart("FL2", (Generator("fl2x", EVEN),))
@@ -179,12 +223,12 @@ class TestCanonicalFields:
         dx0 = chart.coordinate("d.fl2x@0")
         assert fields.J.values[x1] == poly(dx0)
         zero_on = [g for g in chart.coordinates if g is not x1]
-        assert all(fields.J.values[g].is_zero for g in zero_on)
+        assert all(fields.J.values[g].is_zero() for g in zero_on)
 
     def test_jet_weight_ignores_order_zero(self):
         fields = canonical_fields(M, 1)
         x0 = fields.chart.coordinate("fx@0")
-        assert fields.delta2.values[x0].is_zero
+        assert fields.delta2.values[x0].is_zero()
 
     def test_total_weight_is_the_sum(self):
         fields = canonical_fields(M, 2)
@@ -209,7 +253,7 @@ class TestEigenvalues:
                 elif rng.random() < 0.4:
                     factors.append(g)
             mono = normalize([(1, factors)])
-            if mono.is_zero:
+            if mono.is_zero():
                 continue
             weight = sum(g.weight for g in factors)
             assert fields.delta2.apply(mono) == weight * mono

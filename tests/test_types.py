@@ -1,0 +1,178 @@
+"""Value records and identity types: equality, hashing and immutability."""
+
+import subprocess
+import sys
+
+import pytest
+
+from sjet import (
+    Chart,
+    EVEN,
+    Generator,
+    ODD,
+    ParameterAlgebra,
+    antitangent_chart,
+    canonical_fields,
+    poly,
+    product_chart,
+    prolong_chart,
+)
+from sjet.cli import CommandResult
+from sjet.dsl import Diagnostic, Document, SourceSpan, Token
+from sjet.fields import RelationReport, RelationRow
+from sjet.geometry import CoordinateCheck, MorphismReport
+from sjet.prolongation import WeightCheck, WeightReport
+
+GX = Generator("tx", EVEN)
+GTH = Generator("tth", ODD)
+BASE = Chart("TB", (GX, GTH))
+SPAN = SourceSpan(0, 3, 1, 1, 1, 4)
+
+
+def record_pairs():
+    """Two separately built, equal instances of every value record."""
+    fields = canonical_fields(BASE, 1)
+
+    def build():
+        row = RelationRow(1, "d", "d", "0", True)
+        check = CoordinateCheck(GX, EVEN, "even", True)
+        weight = WeightCheck(GX, True, False)
+        return [
+            SourceSpan(0, 3, 1, 1, 1, 4),
+            Diagnostic("boom", SPAN),
+            Token("IDENT", "abc", SPAN),
+            check,
+            MorphismReport((check,)),
+            weight,
+            WeightReport((weight,)),
+            row,
+            RelationReport(BASE, 1, (row,)),
+            CommandResult(2, "", (Diagnostic("boom", SPAN),)),
+            type(fields)(*fields),
+        ]
+
+    return list(zip(build(), build()))
+
+
+def identity_objects():
+    return [
+        Generator("same", EVEN),
+        BASE,
+        ParameterAlgebra("TP", (Generator("te", ODD),)),
+        prolong_chart(BASE, 2),
+        antitangent_chart(BASE),
+        product_chart(BASE, BASE),
+    ]
+
+
+class TestValueRecords:
+    @pytest.mark.parametrize(
+        "a, b", record_pairs(), ids=lambda r: type(r).__name__
+    )
+    def test_equal_by_value(self, a, b):
+        assert a is not b
+        assert a == b
+        assert not (a != b)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [pair for pair in record_pairs() if type(pair[0]).__name__ != "CanonicalFields"],
+        ids=lambda r: type(r).__name__,
+    )
+    def test_hash_equal_by_value(self, a, b):
+        # CanonicalFields holds vector fields, which are not hashable
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize(
+        "a, b", record_pairs(), ids=lambda r: type(r).__name__
+    )
+    def test_attributes_are_read_only(self, a, b):
+        name = type(a)._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            a.unknown = 1
+
+    def test_different_values_are_unequal(self):
+        assert SourceSpan(0, 3, 1, 1, 1, 4) != SourceSpan(0, 3, 1, 1, 1, 5)
+        assert Diagnostic("boom", SPAN) != Diagnostic("bang", SPAN)
+        assert RelationRow(1, "d", "d", "0", True) != RelationRow(
+            1, "d", "d", "0", False
+        )
+
+    def test_methods_and_properties_survive(self):
+        later = SourceSpan(5, 9, 2, 1, 2, 5)
+        assert SPAN.merge(later) == SourceSpan(0, 9, 1, 1, 2, 5)
+        assert str(Diagnostic("boom", later)) == "2:1: boom"
+        assert RelationRow(2, "J", "J", "0", True).label == "[J,J] = 0"
+        assert not WeightCheck(GX, True, False).ok
+        assert not WeightReport((WeightCheck(GX, True, False),)).valid
+        assert MorphismReport(()).valid
+
+    def test_command_result_defaults_are_immutable(self):
+        result = CommandResult(0)
+        assert result.payload == ""
+        assert result.diagnostics == ()
+        assert isinstance(result.diagnostics, tuple)
+
+
+class TestIdentityTypes:
+    def test_same_names_are_distinct(self):
+        a, b = Generator("twin", EVEN), Generator("twin", EVEN)
+        assert a != b
+        assert len({a, b}) == 2
+        assert Chart("TC", (a,)) != Chart("TC", (a,))
+        assert ParameterAlgebra("TQ", (a,)) != ParameterAlgebra("TQ", (a,))
+        assert poly(a) != poly(b)
+
+    def test_lifted_charts_are_cached_by_identity(self):
+        assert prolong_chart(BASE, 2) is prolong_chart(BASE, 2)
+        assert antitangent_chart(BASE) is antitangent_chart(BASE)
+        assert product_chart(BASE, BASE) is product_chart(BASE, BASE)
+
+    @pytest.mark.parametrize(
+        "obj", identity_objects(), ids=lambda o: type(o).__name__
+    )
+    def test_attributes_are_read_only(self, obj):
+        with pytest.raises(AttributeError, match="immutable"):
+            obj.name = "other"
+        with pytest.raises(AttributeError, match="immutable"):
+            del obj.name
+        with pytest.raises(AttributeError):
+            obj.unknown = 1
+
+    def test_generators_keep_declaration_order(self):
+        first = Generator("tfirst", ODD)
+        second = Generator("tsecond", ODD, weight=3)
+        assert first.index < second.index
+        assert second.weight == 3
+        assert repr(second) == "Generator('tsecond', odd)"
+
+    def test_lifted_chart_lookups(self):
+        jets = prolong_chart(BASE, 2)
+        assert jets.base is BASE and jets.order == 2
+        assert jets.jet(GX, 2).name == "tx@2"
+        lifted = antitangent_chart(BASE)
+        assert lifted.differential_of(GTH).parity is EVEN
+        assert lifted.differentials == lifted.coordinates[2:]
+        product = product_chart(BASE, BASE)
+        assert product.from_right(GX).name == "TB2_tx"
+
+
+def test_documents_do_not_share_containers():
+    first, second = Document(), Document()
+    first.charts["M"] = BASE
+    assert second.charts == {}
+    assert first.declarations is not second.declarations
+
+
+def test_importing_the_cli_loads_no_code_generation_modules():
+    probe = (
+        "import sys, sjet.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
