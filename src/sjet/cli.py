@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .dsl import Diagnostic, DslError, SourceSpan, parse
+from .dsl import MAX_ORDER, Diagnostic, DslError, SourceSpan, parse
 from .errors import SjetError
 from .fields import VectorField, bracket, verify_relations
 from .geometry import compose, Jet, Morphism, jet_of_curve
@@ -376,6 +376,9 @@ def run(argv) -> CommandResult:
         args = parser.parse_args(argv)
     except SystemExit as stop:
         return CommandResult(int(stop.code or 0))
+    if getattr(args, "order", 0) > MAX_ORDER:
+        message = f"--order {args.order} exceeds the jet-order limit of {MAX_ORDER}"
+        return CommandResult(2, "", (Diagnostic(message, _NO_SPAN),))
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:

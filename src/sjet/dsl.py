@@ -17,7 +17,9 @@ Grammar (ASCII source, "#" starts a line comment):
 Expressions use "+", "-", "*", "^" with nonnegative integer powers,
 rational literals "p/q", and parentheses; juxtaposition is not
 multiplication. An expression may nest at most MAX_NESTING (100) levels of
-"(" and unary "-", counted together; deeper input is a located error.
+"(" and unary "-", counted together; deeper input is a located error. An
+exponent may be at most MAX_EXPONENT (1000) and a curve or field order at
+most MAX_ORDER (100); a larger one is a located error at its number.
 Curve components may use the reserved time variable "t". Morphism bodies
 assign every target coordinate an expression over the source coordinates.
 A field without "order" lives on its chart; with "order k" it lives on the
@@ -170,6 +172,14 @@ _RESERVED_TIME = "t"
 # recursion limit.
 MAX_NESTING = 100
 
+# The largest exponent after "^", and the largest jet order of a curve, of a
+# field and of the command line's --order. Each bounds the work and memory
+# that one input can ask for: the output of a lift grows with the cube of the
+# order (on 2 vCPUs with CPython 3.11, lifting y = x^3 + x takes 0.6 s at
+# order 100 and 90 s at order 500).
+MAX_EXPONENT = 1000
+MAX_ORDER = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
@@ -215,6 +225,19 @@ class _Parser:
             found = token.text or "end of input"
             self.fail(f"expected '{word}', found {found!r}", token.span)
         return self.advance()
+
+    def bounded(self, token: Token, limit: int, what: str) -> int:
+        """The whole number that ``token`` spells; past ``limit`` a located error."""
+        digits = token.text.lstrip("0") or "0"
+        if len(digits) > len(str(limit)) or int(digits) > limit:
+            self.fail(f"{what} exceeds the limit of {limit}", token.span)
+        return int(digits)
+
+    def expect_order(self) -> int:
+        token = self.expect("NUMBER", "a nonnegative order")
+        if "/" in token.text:
+            self.fail("the order must be an integer", token.span)
+        return self.bounded(token, MAX_ORDER, "the jet order")
 
     def accept_keyword(self, word: str) -> bool:
         token = self.peek()
@@ -411,10 +434,7 @@ class _Parser:
                 params_token.span,
             )
         self.expect_keyword("order")
-        order_token = self.expect("NUMBER", "a nonnegative order")
-        if "/" in order_token.text:
-            self.fail("the order must be an integer", order_token.span)
-        order = int(order_token.text)
+        order = self.expect_order()
         resolver = {g.name: g for g in params.generators}
         resolver[_RESERVED_TIME] = TIME
         rows = self.parse_assignments(resolver)
@@ -460,10 +480,7 @@ class _Parser:
         base = self.lookup_chart(doc, base_token)
         order: int | None = None
         if self.accept_keyword("order"):
-            order_token = self.expect("NUMBER", "a nonnegative order")
-            if "/" in order_token.text:
-                self.fail("the order must be an integer", order_token.span)
-            order = int(order_token.text)
+            order = self.expect_order()
         self.expect_keyword("parity")
         parity_token = self.expect("IDENT", "'even' or 'odd'")
         if parity_token.text == "even":
@@ -555,7 +572,7 @@ class _Parser:
             exponent = self.expect("NUMBER", "a nonnegative integer power")
             if "/" in exponent.text:
                 self.fail("powers must be nonnegative integers", exponent.span)
-            value = value ** int(exponent.text)
+            value = value ** self.bounded(exponent, MAX_EXPONENT, "the exponent")
         return value
 
     def parse_atom(self, resolver) -> SuperPolynomial:

@@ -170,13 +170,12 @@ class Morphism:
 
     def pullback(self, f: SuperPolynomial) -> SuperPolynomial:
         """Pull a polynomial over the target back to the source."""
-        sigma = dict(self.assignment)
         for g in f.generators():
-            if g not in sigma:
+            if g not in self.assignment:
                 raise CoverageError(
                     f"'{g.name}' is not a coordinate of chart '{self.target.name}'"
                 )
-        return substitute(f, sigma)
+        return substitute(f, self.assignment)
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):
@@ -203,8 +202,8 @@ def compose(phi: Morphism, psi: Morphism) -> Morphism:
             f"cannot compose: '{psi.target.name}' is not '{phi.source.name}'"
         )
     assignment = {}
+    sigma = dict(psi.assignment)
     for y, f in phi.assignment.items():
-        sigma = dict(psi.assignment)
         for g in f.generators():
             if g not in sigma:
                 sigma[g] = poly(g)

@@ -422,14 +422,73 @@ class SuperPolynomial:
         return NotImplemented
 
     def __pow__(self, exponent: int):
+        """The power by the multinomial theorem, on integer numerators.
+
+        With p = E + O split into its even and odd terms, E is central and
+        O*O = 0, so p**n = E**n + n * E**(n-1) * O. The powers of E are built
+        one term at a time by the binomial theorem, and the common
+        denominator D of the coefficients is divided out once, as D**n.
+        """
         if not isinstance(exponent, int) or exponent < 0:
             raise DomainError(
                 f"powers need a nonnegative integer exponent, got {exponent!r}"
             )
-        result = SuperPolynomial.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
+        n = exponent
+        if n == 0:
+            return SuperPolynomial.one()
+        if len(self._terms) == 1:
+            ((mono, c),) = self._terms.items()
+            if mono.odd and n > 1:
+                return SuperPolynomial()
+            even = tuple((g, e * n) for g, e in mono.even)
+            return _settled({Monomial(even, mono.odd): c**n})
+        d = math.lcm(*(c.denominator for c in self._terms.values()))
+        even_terms, odd_terms = [], {}
+        for mono, c in self._terms.items():
+            numerator = c.numerator * (d // c.denominator)
+            if mono.parity is ODD:
+                odd_terms[mono] = numerator
+            else:
+                even_terms.append((mono, numerator))
+        top = n - 1 if odd_terms else n
+        # levels[j]: the j-th power of the even terms added so far, with
+        # numerators scaled by d**j; levels above ``reach`` are still empty
+        levels: list[dict] = [{_EMPTY_MONOMIAL: 1}] + [{} for _ in range(n)]
+        reach = 0
+        for i, (mono, c) in enumerate(even_terms):
+            # the last term fills only the levels that the result reads
+            lowest = top if i == len(even_terms) - 1 else 1
+            most = 1 if mono.odd else n  # a monomial with odd factors squares to 0
+            powers = [(1, _EMPTY_MONOMIAL)]
+            for _ in range(most):
+                ck, mk = powers[-1]
+                powers.append(
+                    (ck * c, Monomial(_merge_even(mk.even, mono.even), mono.odd))
+                )
+            for j in range(min(n, reach + most), lowest - 1, -1):
+                level = levels[j]
+                get = level.get
+                for k in range(max(1, j - reach), min(j, most) + 1):
+                    source = levels[j - k]
+                    if not source:
+                        continue
+                    ck, mk = powers[k]
+                    scale = math.comb(j, k) * ck
+                    for m, v in source.items():
+                        sign, odd = _merge_odd(mk.odd, m.odd)
+                        if not sign:
+                            continue
+                        product = Monomial(_merge_even(mk.even, m.even), odd)
+                        level[product] = get(product, 0) + sign * scale * v
+            reach = min(n, reach + most)
+        sums = levels[n]
+        if odd_terms:
+            head, tail = SuperPolynomial(levels[n - 1]), SuperPolynomial(odd_terms)
+            _mul_into([sums], (head,), (tail,), n)
+        if d > 1:
+            scale = d**n
+            sums = {m: Fraction(v, scale) for m, v in sums.items() if v}
+        return _settled(sums)
 
     def __repr__(self):
         from .printer import format_polynomial

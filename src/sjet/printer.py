@@ -10,43 +10,24 @@ identical text.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .fields import RelationReport, VectorField
 from .geometry import Jet, Morphism, SCurve, SPoint
 from .grassmann import Monomial, SuperPolynomial, TIME, TimeSeries
 
 
-def _compare_monomials(a: Monomial, b: Monomial) -> int:
-    da, db = a.even_degree, b.even_degree
-    if da != db:
-        return -1 if da > db else 1
-    ia = ib = 0
-    ea, eb = a.even, b.even
-    while ia < len(ea) and ib < len(eb):
-        (ga, xa), (gb, xb) = ea[ia], eb[ib]
-        if ga.index != gb.index:
-            return -1 if ga.index < gb.index else 1
-        if xa != xb:
-            return -1 if xa > xb else 1
-        ia += 1
-        ib += 1
-    if ia < len(ea):
-        return -1
-    if ib < len(eb):
-        return 1
-    oa = tuple(g.index for g in a.odd)
-    ob = tuple(g.index for g in b.odd)
-    if oa == ob:
-        return 0
-    return -1 if oa < ob else 1
+def _monomial_key(m: Monomial) -> tuple:
+    """The sort key of a monomial in canonical term order.
 
-
-_MONOMIAL_KEY = cmp_to_key(_compare_monomials)
+    Even parts of equal degree never differ only in length, since one that
+    extends another has the higher degree, so plain tuple order suffices.
+    """
+    even = tuple((g.index, -e) for g, e in m.even)
+    return (-m.even_degree, even, tuple(g.index for g in m.odd))
 
 
 def sorted_terms(p: SuperPolynomial) -> list[tuple[Monomial, Fraction]]:
-    return sorted(p.items(), key=lambda item: _MONOMIAL_KEY(item[0]))
+    return sorted(p.items(), key=lambda item: _monomial_key(item[0]))
 
 
 def format_scalar(c: Fraction) -> str:

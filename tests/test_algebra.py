@@ -1,5 +1,6 @@
 """Canonical-form arithmetic, derivatives, substitution and series."""
 
+import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -131,6 +132,62 @@ class TestProducts:
     def test_negative_power_is_rejected(self):
         with pytest.raises(DomainError):
             poly(X) ** -1
+
+
+fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7))
+fraction_polys = st.lists(st.tuples(fractions, factor_lists), max_size=5).map(
+    normalize
+)
+power_bases = st.one_of(
+    fraction_polys,
+    fraction_polys.map(lambda p: parity_part(p, ODD)),
+    fractions.map(const),
+    st.just(const(0)),
+)
+
+
+def _repeated_product(p, n):
+    result = const(1)
+    for _ in range(n):
+        result = result * p
+    return result
+
+
+class TestPowers:
+    @settings(max_examples=200, deadline=None)
+    @given(power_bases, st.integers(0, 8))
+    def test_power_equals_the_repeated_product(self, p, n):
+        got = p**n
+        assert got == _repeated_product(p, n)
+        _assert_stored_exactly(got)
+
+    def test_binomial_coefficients(self):
+        p = (1 + poly(X)) ** 400
+        assert len(p.terms) == 401
+        for mono, c in p.items():
+            assert type(c) is int
+            assert c == math.comb(400, mono.even_degree)
+
+    def test_fractional_binomial(self):
+        p = (Fraction(1, 2) + Fraction(2, 3) * poly(X)) ** 5
+        for mono, c in p.items():
+            k = mono.even_degree
+            half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+            assert c == math.comb(5, k) * half ** (5 - k) * two_thirds**k
+
+    def test_one_term_power_scales_the_exponents(self):
+        (mono,) = (poly(X) ** (10**9)).terms
+        assert mono.even == ((X, 10**9),)
+        assert (Fraction(-2, 3) * poly(X) ** 2) ** 3 == Fraction(-8, 27) * poly(X) ** 6
+        assert (poly(X) * poly(TH1) * poly(TH2)) ** 2 == 0
+        assert (poly(TH1) + poly(TH2)) ** 2 == 0
+
+    @pytest.mark.parametrize("exponent", [-1, 1.0, 2.5, Fraction(1, 2), "2", None])
+    def test_bad_exponents_are_rejected(self, exponent):
+        with pytest.raises(DomainError):
+            (1 + poly(X)) ** exponent
+        with pytest.raises(DomainError):
+            poly(X) ** exponent
 
 
 class TestDerivatives:

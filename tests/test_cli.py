@@ -8,6 +8,7 @@ import pytest
 
 from sjet import Chart, EVEN, Generator
 from sjet.cli import main, run
+from sjet.dsl import MAX_ORDER
 from sjet.fields import RelationReport, RelationRow
 
 DOC = """\
@@ -96,6 +97,40 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert result.payload == ""
         assert "nested deeper than" in result.diagnostics[0].message
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("morphism f : M -> M {\n  x = x^1000000000;\n}", (3, 9)),
+            ("field D on M order 3000 parity odd {\n  d/d x@0 = d.x@0;\n}", (2, 20)),
+        ],
+    )
+    def test_limits_are_exit_two_at_the_number(self, tmp_path, body, where):
+        path = tmp_path / "limit.sman"
+        path.write_text(f"chart M (x: even);\n{body}\n", encoding="utf-8")
+        result = run(["check", str(path)])
+        assert result.exit_code == 2
+        assert result.payload == ""
+        (diagnostic,) = result.diagnostics
+        assert "exceeds the limit" in diagnostic.message
+        assert (diagnostic.line, diagnostic.column) == where
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prolong", "--morphism", "f", "--order", "3000"],
+            ["interchange", "--chart", "M", "--order", str(MAX_ORDER + 1)],
+            ["jet", "--curve", "gamma", "--order", "3000"],
+            ["homothety", "--chart", "M", "--order", "3000"],
+            ["verify", "--suite", "relations", "--order", "3000"],
+        ],
+    )
+    def test_order_option_past_the_limit_is_exit_two(self, doc_file, argv):
+        result = run([argv[0], doc_file, *argv[1:]])
+        assert result.exit_code == 2
+        assert result.payload == ""
+        (diagnostic,) = result.diagnostics
+        assert f"exceeds the jet-order limit of {MAX_ORDER}" in diagnostic.message
 
     def test_unknown_subcommand(self, capsys):
         result = run(["frobnicate", "x.sman"])

@@ -1,6 +1,7 @@
 """Surface syntax, diagnostics, canonical printing and LaTeX output."""
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -26,9 +27,10 @@ from sjet import (
     prolong_morphism,
     verify_relations,
 )
-from sjet.dsl import MAX_NESTING
+from sjet.dsl import MAX_EXPONENT, MAX_NESTING, MAX_ORDER
 from sjet.fields import RelationReport, RelationRow
-from support import rand_document_text, seeded
+from sjet.printer import sorted_terms
+from support import rand_document_text, rand_monomial, seeded
 
 
 class TestParsing:
@@ -164,6 +166,50 @@ class TestDiagnostics:
         (x,) = doc.charts["M"].coordinates
         assert doc.morphisms["f"].assignment[x] == poly(x)
 
+    def test_exponent_past_the_limit_is_located(self):
+        d = self._diag(
+            "chart M (x: even);\nmorphism f : M -> M {\n  x = x^1000000000;\n}"
+        )
+        assert f"the exponent exceeds the limit of {MAX_EXPONENT}" in d.message
+        assert (d.line, d.column) == (3, 9)
+        assert d.span.end - d.span.start == len("1000000000")
+
+    def test_exponent_at_the_limit_parses(self):
+        head = "chart M (x: even);\nmorphism f : M -> M { x = x^"
+        doc = parse(f"{head}{MAX_EXPONENT}; }}")
+        (x,) = doc.charts["M"].coordinates
+        assert doc.morphisms["f"].assignment[x] == poly(x) ** MAX_EXPONENT
+        d = self._diag(f"{head}{MAX_EXPONENT + 1}; }}")
+        assert "exceeds the limit" in d.message
+
+    def test_exponent_with_thousands_of_digits_is_located(self):
+        head = "chart M (x: even);\nmorphism f : M -> M { x = x^"
+        d = self._diag(head + "9" * 5000 + "; }")
+        assert "the exponent exceeds the limit" in d.message
+
+    def test_field_order_past_the_limit_is_located(self):
+        d = self._diag(
+            "chart M (x: even);\n"
+            "field D on M order 3000 parity odd { d/d x@0 = d.x@0; }"
+        )
+        assert f"the jet order exceeds the limit of {MAX_ORDER}" in d.message
+        assert (d.line, d.column) == (2, 20)
+
+    def test_curve_order_past_the_limit_is_located(self):
+        d = self._diag(
+            "chart M (x: even);\nparams P (s: even);\n"
+            f"curve g on M params P order {MAX_ORDER + 1} {{ x = t; }}"
+        )
+        assert f"the jet order exceeds the limit of {MAX_ORDER}" in d.message
+        assert (d.line, d.column) == (3, 29)
+
+    def test_order_at_the_limit_parses(self):
+        doc = parse(
+            "chart M (x: even);\nparams P (s: even);\n"
+            f"curve g on M params P order {MAX_ORDER} {{ x = s*t; }}"
+        )
+        assert doc.curves["g"].order == MAX_ORDER
+
     def test_spans_sit_inside_the_source(self):
         text = "chart M (x: even);\nmorphism f : M -> M { x = z; }"
         with pytest.raises(DslError) as exc:
@@ -185,6 +231,33 @@ def _mixed_signs():
     )
 
 
+def _compare_monomials(a, b) -> int:
+    """The canonical term order written as a comparator: the reference for
+    the printer's sort key."""
+    da, db = a.even_degree, b.even_degree
+    if da != db:
+        return -1 if da > db else 1
+    ia = ib = 0
+    ea, eb = a.even, b.even
+    while ia < len(ea) and ib < len(eb):
+        (ga, xa), (gb, xb) = ea[ia], eb[ib]
+        if ga.index != gb.index:
+            return -1 if ga.index < gb.index else 1
+        if xa != xb:
+            return -1 if xa > xb else 1
+        ia += 1
+        ib += 1
+    if ia < len(ea):
+        return -1
+    if ib < len(eb):
+        return 1
+    oa = tuple(g.index for g in a.odd)
+    ob = tuple(g.index for g in b.odd)
+    if oa == ob:
+        return 0
+    return -1 if oa < ob else 1
+
+
 class TestCanonicalPrinting:
     def test_normalised_sign_is_printed(self):
         th1 = Generator("th1", ODD)
@@ -197,6 +270,20 @@ class TestCanonicalPrinting:
         lifted = prolong_chart(chart, 2)
         x = chart.coordinate("x")
         assert print_canonical(poly(lifted.jet(x, 2))) == "x@2"
+
+    def test_term_order_matches_the_comparator(self):
+        rng = seeded(11)
+        gens = [Generator(f"k{i}", EVEN if i < 3 else ODD) for i in range(6)]
+        rng.shuffle(gens)  # declaration order differs from list order
+        for _ in range(60):
+            raw = [
+                (rng.randint(1, 5), rand_monomial(rng, gens, max_even_power=3))
+                for _ in range(rng.randint(0, 12))
+            ]
+            p = normalize(raw)
+            key = cmp_to_key(_compare_monomials)
+            expect = sorted(p.items(), key=lambda item: key(item[0]))
+            assert sorted_terms(p) == expect
 
     def test_round_trip_is_the_identity_on_canonical_text(self):
         text = (
