@@ -39,7 +39,6 @@ from .geometry import (
     Chart,
     Jet,
     Morphism,
-    MorphismReport,
     ParameterAlgebra,
     SCurve,
     SPoint,
@@ -48,7 +47,6 @@ from .geometry import (
     evaluate_function,
     jet_of_curve,
     reparameterise,
-    validate_morphism,
 )
 from .prolongation import (
     AntitangentChart,

@@ -19,7 +19,9 @@ rational literals "p/q", and parentheses; juxtaposition is not
 multiplication. An expression may nest at most MAX_NESTING (100) levels of
 "(" and unary "-", counted together; deeper input is a located error. An
 exponent may be at most MAX_EXPONENT (1000) and a curve or field order at
-most MAX_ORDER (100); a larger one is a located error at its number.
+most MAX_ORDER (100); a larger one is a located error at its number, and
+so is a literal whose numerator or denominator has more than MAX_DIGITS
+(4000) digits.
 Curve components may use the reserved time variable "t". Morphism bodies
 assign every target coordinate an expression over the source coordinates.
 A field without "order" lives on its chart; with "order k" it lives on the
@@ -166,6 +168,16 @@ class Document:
 
 _RESERVED_TIME = "t"
 
+# Per declaration keyword: what its name names, the Document table that
+# holds it, and the _Parser method that reads the rest of it.
+_DECLARATIONS = {
+    "chart": ("chart", "charts", "parse_generators"),
+    "params": ("parameter algebra", "params", "parse_generators"),
+    "morphism": ("morphism", "morphisms", "parse_morphism"),
+    "curve": ("curve", "curves", "parse_curve"),
+    "field": ("field", "fields", "parse_field"),
+}
+
 
 # Levels of "(" and unary "-" in one expression. Each "(" costs five frames of
 # this recursive-descent parser, so the limit keeps it far from Python's
@@ -179,6 +191,11 @@ MAX_NESTING = 100
 # order 100 and 90 s at order 500).
 MAX_EXPONENT = 1000
 MAX_ORDER = 100
+
+# The most decimal digits in the numerator or the denominator of a rational
+# literal, and of a coefficient that the printer writes out: CPython refuses
+# to convert an int of more than 4300 digits to or from text.
+MAX_DIGITS = 4000
 
 
 class _Parser:
@@ -250,63 +267,63 @@ class _Parser:
 
     def parse_document(self) -> Document:
         doc = Document()
-        while True:
-            token = self.peek()
-            if token.kind == "EOF":
-                break
-            if token.kind != "IDENT":
+        while self.peek().kind != "EOF":
+            keyword = self.advance()
+            if keyword.kind != "IDENT":
                 self.fail(
-                    f"expected a declaration, found {token.text!r}", token.span
+                    f"expected a declaration, found {keyword.text!r}", keyword.span
                 )
-            if token.text == "chart":
-                self.parse_chart(doc)
-            elif token.text == "params":
-                self.parse_params(doc)
-            elif token.text == "morphism":
-                self.parse_morphism(doc)
-            elif token.text == "curve":
-                self.parse_curve(doc)
-            elif token.text == "field":
-                self.parse_field(doc)
-            else:
+            if keyword.text not in _DECLARATIONS:
                 self.fail(
-                    f"unknown declaration keyword {token.text!r}", token.span
+                    f"unknown declaration keyword {keyword.text!r}", keyword.span
                 )
+            what, table, method = _DECLARATIONS[keyword.text]
+            name = self.expect("IDENT", f"a {what} name")
+            if name.text in getattr(doc, table):
+                self.fail(f"duplicate {what} name '{name.text}'", name.span)
+            getattr(self, method)(doc, keyword, name.text)
         return doc
 
-    def declare_name(self, doc: Document, kind: str, token: Token) -> str:
-        table = getattr(doc, kind + "s")
-        if token.text in table:
-            self.fail(f"duplicate {kind} name '{token.text}'", token.span)
-        return token.text
+    def declare(self, doc: Document, keyword: Token, name: str, spans, build, *args):
+        """Record ``build(*args)`` as the declaration that ``keyword`` opened.
 
-    def parse_coord_list(self) -> list[tuple[Token, Parity]]:
+        The engine constructor ``build`` makes every check; an error it raises
+        is located at ``spans[error.subject]``, the span where the name it is
+        about was written, or else at the whole declaration.
+        """
+        whole = keyword.span.merge(self.tokens[self.pos - 1].span)
+        try:
+            value = build(*args)
+        except SjetError as exc:
+            self.fail(str(exc), spans.get(exc.subject, whole))
+        getattr(doc, _DECLARATIONS[keyword.text][1])[name] = value
+        doc.declarations.append((keyword.text, name))
+        doc.spans[(keyword.text, name)] = whole
+
+    def expect_parity(self) -> Parity:
+        token = self.expect("IDENT", "'even' or 'odd'")
+        if token.text not in ("even", "odd"):
+            self.fail(f"expected 'even' or 'odd', found {token.text!r}", token.span)
+        return EVEN if token.text == "even" else ODD
+
+    def parse_generators(self, doc: Document, keyword: Token, name: str):
+        """The list of generators of a chart or of a parameter algebra."""
         self.expect("(")
-        coords = []
+        generators = []
+        spans = {}
         while True:
-            name = self.expect("IDENT", "a coordinate name")
-            if name.text == _RESERVED_TIME:
-                self.fail(
-                    "'t' is reserved for the time variable", name.span
-                )
-            if "@" in name.text or name.text.startswith("d."):
+            token = self.expect("IDENT", "a coordinate name")
+            if token.text == _RESERVED_TIME:
+                self.fail("'t' is reserved for the time variable", token.span)
+            if "@" in token.text or token.text.startswith("d."):
                 self.fail(
                     f"declared names may not contain '@' or a 'd.' prefix: "
-                    f"{name.text!r}",
-                    name.span,
+                    f"{token.text!r}",
+                    token.span,
                 )
             self.expect(":")
-            parity_token = self.expect("IDENT", "'even' or 'odd'")
-            if parity_token.text == "even":
-                parity = EVEN
-            elif parity_token.text == "odd":
-                parity = ODD
-            else:
-                self.fail(
-                    f"expected 'even' or 'odd', found {parity_token.text!r}",
-                    parity_token.span,
-                )
-            coords.append((name, parity))
+            generators.append(Generator(token.text, self.expect_parity()))
+            spans[token.text] = token.span
             token = self.advance()
             if token.kind == ")":
                 break
@@ -315,45 +332,9 @@ class _Parser:
                     f"expected ',' or ')', found {token.text or 'end of input'!r}",
                     token.span,
                 )
-        return coords
-
-    def parse_chart(self, doc: Document):
-        keyword = self.advance()
-        name = self.expect("IDENT", "a chart name")
-        chart_name = self.declare_name(doc, "chart", name)
-        coords = self.parse_coord_list()
-        close = self.expect(";")
-        seen = set()
-        for token, _ in coords:
-            if token.text in seen:
-                self.fail(f"duplicate coordinate name '{token.text}'", token.span)
-            seen.add(token.text)
-        chart = Chart(
-            chart_name,
-            tuple(Generator(token.text, parity) for token, parity in coords),
-        )
-        doc.charts[chart_name] = chart
-        doc.declarations.append(("chart", chart_name))
-        doc.spans[("chart", chart_name)] = keyword.span.merge(close.span)
-
-    def parse_params(self, doc: Document):
-        keyword = self.advance()
-        name = self.expect("IDENT", "a parameter algebra name")
-        params_name = self.declare_name(doc, "param", name)
-        coords = self.parse_coord_list()
-        close = self.expect(";")
-        seen = set()
-        for token, _ in coords:
-            if token.text in seen:
-                self.fail(f"duplicate parameter name '{token.text}'", token.span)
-            seen.add(token.text)
-        algebra = ParameterAlgebra(
-            params_name,
-            tuple(Generator(token.text, parity) for token, parity in coords),
-        )
-        doc.params[params_name] = algebra
-        doc.declarations.append(("params", params_name))
-        doc.spans[("params", params_name)] = keyword.span.merge(close.span)
+        self.expect(";")
+        build = Chart if keyword.text == "chart" else ParameterAlgebra
+        self.declare(doc, keyword, name, spans, build, name, tuple(generators))
 
     def lookup_chart(self, doc: Document, token: Token) -> Chart:
         chart = doc.charts.get(token.text)
@@ -361,68 +342,50 @@ class _Parser:
             self.fail(f"chart '{token.text}' is not declared", token.span)
         return chart
 
-    def parse_assignments(self, resolver) -> list[tuple[Token, SuperPolynomial]]:
-        """Parse '{' (lhs '=' expr ';')+ '}' with a resolver for expr names."""
+    def parse_assignments(self, chart: Chart, resolver, ddt: bool = False):
+        """Parse '{' ('d/d'? lhs '=' expr ';')+ '}' with a resolver for expr names.
+
+        Every left-hand name must be a coordinate of ``chart``, assigned at
+        most once. Returns the values by coordinate and, by name, the span of
+        each left-hand name.
+        """
         self.expect("{")
-        rows = []
+        values: dict[Generator, SuperPolynomial] = {}
+        spans: dict[str, SourceSpan] = {}
         while True:
             token = self.peek()
             if token.kind == "}":
-                if not rows:
+                if not values:
                     self.fail("a body needs at least one assignment", token.span)
                 self.advance()
-                return rows
+                return values, spans
+            if ddt:
+                self.expect("DDT", "'d/d'")
             lhs = self.expect("IDENT", "a coordinate name")
+            try:
+                coordinate = chart.coordinate(lhs.text)
+            except SjetError:
+                self.fail(
+                    f"'{lhs.text}' is not a coordinate of chart '{chart.name}'",
+                    lhs.span,
+                )
+            if lhs.text in spans:
+                self.fail(f"coordinate '{lhs.text}' is assigned twice", lhs.span)
+            spans[lhs.text] = lhs.span
             self.expect("=")
-            value = self.parse_expr(resolver)
+            values[coordinate] = self.parse_expr(resolver)
             self.expect(";")
-            rows.append((lhs, value))
 
-    def parse_morphism(self, doc: Document):
-        keyword = self.advance()
-        name = self.expect("IDENT", "a morphism name")
-        morphism_name = self.declare_name(doc, "morphism", name)
+    def parse_morphism(self, doc: Document, keyword: Token, name: str):
         self.expect(":")
         source = self.lookup_chart(doc, self.expect("IDENT", "a source chart"))
         self.expect("ARROW", "'->'")
         target = self.lookup_chart(doc, self.expect("IDENT", "a target chart"))
         resolver = {g.name: g for g in source.coordinates}
-        rows = self.parse_assignments(resolver)
-        close = self.tokens[self.pos - 1]
+        values, spans = self.parse_assignments(target, resolver)
+        self.declare(doc, keyword, name, spans, Morphism, source, target, values)
 
-        assignment: dict[Generator, SuperPolynomial] = {}
-        for lhs, value in rows:
-            try:
-                coordinate = target.coordinate(lhs.text)
-            except SjetError:
-                self.fail(
-                    f"'{lhs.text}' is not a coordinate of chart '{target.name}'",
-                    lhs.span,
-                )
-            if coordinate in assignment:
-                self.fail(f"coordinate '{lhs.text}' is assigned twice", lhs.span)
-            if not value.is_homogeneous(coordinate.parity):
-                self.fail(
-                    f"parity violation: '{lhs.text}' is {coordinate.parity} but "
-                    f"its expression is not",
-                    lhs.span,
-                )
-            assignment[coordinate] = value
-        for g in target.coordinates:
-            if g not in assignment:
-                self.fail(
-                    f"morphism '{morphism_name}' assigns nothing to "
-                    f"coordinate '{g.name}'",
-                    keyword.span.merge(close.span),
-                )
-        doc.morphisms[morphism_name] = Morphism(source, target, assignment)
-        doc.declarations.append(("morphism", morphism_name))
-        doc.spans[("morphism", morphism_name)] = keyword.span.merge(close.span)
-
-    def parse_curve(self, doc: Document):
-        keyword = self.advance()
-        name = self.expect("IDENT", "a curve name")
-        curve_name = self.declare_name(doc, "curve", name)
+    def parse_curve(self, doc: Document, keyword: Token, name: str):
         self.expect_keyword("on")
         chart = self.lookup_chart(doc, self.expect("IDENT", "a chart name"))
         self.expect_keyword("params")
@@ -437,101 +400,29 @@ class _Parser:
         order = self.expect_order()
         resolver = {g.name: g for g in params.generators}
         resolver[_RESERVED_TIME] = TIME
-        rows = self.parse_assignments(resolver)
-        close = self.tokens[self.pos - 1]
+        values, spans = self.parse_assignments(chart, resolver)
+        components = {
+            g: TimeSeries.from_polynomial(value, order) for g, value in values.items()
+        }
+        self.declare(
+            doc, keyword, name, spans, SCurve, chart, params, order, components
+        )
 
-        components: dict[Generator, TimeSeries] = {}
-        for lhs, value in rows:
-            try:
-                coordinate = chart.coordinate(lhs.text)
-            except SjetError:
-                self.fail(
-                    f"'{lhs.text}' is not a coordinate of chart '{chart.name}'",
-                    lhs.span,
-                )
-            if coordinate in components:
-                self.fail(f"coordinate '{lhs.text}' is assigned twice", lhs.span)
-            series = TimeSeries.from_polynomial(value, order)
-            for c in series.coefficients:
-                if not c.is_homogeneous(coordinate.parity):
-                    self.fail(
-                        f"parity violation: '{lhs.text}' is {coordinate.parity} "
-                        f"but a series coefficient is not",
-                        lhs.span,
-                    )
-            components[coordinate] = series
-        for g in chart.coordinates:
-            if g not in components:
-                self.fail(
-                    f"curve '{curve_name}' assigns nothing to coordinate "
-                    f"'{g.name}'",
-                    keyword.span.merge(close.span),
-                )
-        doc.curves[curve_name] = SCurve(chart, params, order, components)
-        doc.declarations.append(("curve", curve_name))
-        doc.spans[("curve", curve_name)] = keyword.span.merge(close.span)
-
-    def parse_field(self, doc: Document):
-        keyword = self.advance()
-        name = self.expect("IDENT", "a field name")
-        field_name = self.declare_name(doc, "field", name)
+    def parse_field(self, doc: Document, keyword: Token, name: str):
         self.expect_keyword("on")
-        base_token = self.expect("IDENT", "a chart name")
-        base = self.lookup_chart(doc, base_token)
-        order: int | None = None
-        if self.accept_keyword("order"):
-            order = self.expect_order()
+        base = self.lookup_chart(doc, self.expect("IDENT", "a chart name"))
+        order = self.expect_order() if self.accept_keyword("order") else None
         self.expect_keyword("parity")
-        parity_token = self.expect("IDENT", "'even' or 'odd'")
-        if parity_token.text == "even":
-            parity = EVEN
-        elif parity_token.text == "odd":
-            parity = ODD
-        else:
-            self.fail(
-                f"expected 'even' or 'odd', found {parity_token.text!r}",
-                parity_token.span,
-            )
+        parity = self.expect_parity()
         if order is None:
             chart = base
         else:
             chart = antitangent_chart(prolong_chart(base, order))
-
-        self.expect("{")
         resolver = {g.name: g for g in chart.coordinates}
-        values: dict[Generator, SuperPolynomial] = {}
-        while True:
-            token = self.peek()
-            if token.kind == "}":
-                if not values:
-                    self.fail("a body needs at least one assignment", token.span)
-                close = self.advance()
-                break
-            self.expect("DDT", "'d/d'")
-            lhs = self.expect("IDENT", "a coordinate name")
-            coordinate = resolver.get(lhs.text)
-            if coordinate is None:
-                self.fail(
-                    f"'{lhs.text}' is not a coordinate of chart '{chart.name}'",
-                    lhs.span,
-                )
-            if coordinate in values:
-                self.fail(f"coordinate '{lhs.text}' is assigned twice", lhs.span)
-            self.expect("=")
-            value = self.parse_expr(resolver)
-            self.expect(";")
-            if not value.is_homogeneous(parity + coordinate.parity):
-                self.fail(
-                    f"parity violation: the value on '{lhs.text}' must be "
-                    f"homogeneous of parity {parity + coordinate.parity}",
-                    lhs.span,
-                )
-            values[coordinate] = value
-        doc.fields[field_name] = VectorField(chart, parity, values)
-        doc.field_orders[field_name] = order
-        doc.field_bases[field_name] = base.name
-        doc.declarations.append(("field", field_name))
-        doc.spans[("field", field_name)] = keyword.span.merge(close.span)
+        values, spans = self.parse_assignments(chart, resolver, ddt=True)
+        self.declare(doc, keyword, name, spans, VectorField, chart, parity, values)
+        doc.field_orders[name] = order
+        doc.field_bases[name] = base.name
 
     # -- expressions --------------------------------------------------------
 
@@ -579,6 +470,11 @@ class _Parser:
         token = self.peek()
         if token.kind == "NUMBER":
             self.advance()
+            if max(map(len, token.text.split("/"))) > MAX_DIGITS:
+                self.fail(
+                    f"a rational literal exceeds the limit of {MAX_DIGITS} digits",
+                    token.span,
+                )
             try:
                 value = Fraction(token.text)
             except ZeroDivisionError:

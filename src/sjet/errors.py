@@ -2,7 +2,15 @@
 
 
 class SjetError(Exception):
-    """Base class for every error raised by the engine."""
+    """Base class for every error raised by the engine.
+
+    ``subject`` is the name of the one coordinate or generator an error is
+    about, or None; the surface syntax uses it to point at that name.
+    """
+
+    def __init__(self, message: str = "", subject: str | None = None):
+        super().__init__(message)
+        self.subject = subject
 
 
 class DeclarationError(SjetError):

@@ -62,7 +62,7 @@ class VectorField:
         for g, value in values.items():
             if g not in chart:
                 raise AlgebraError(
-                    f"'{g.name}' is not a coordinate of chart '{chart.name}'"
+                    f"'{g.name}' is not a coordinate of chart '{chart.name}'", g.name
                 )
         for g in chart.coordinates:
             p = _as_polynomial(values.get(g, SuperPolynomial.zero()))
@@ -72,12 +72,14 @@ class VectorField:
             if names:
                 raise AlgebraError(
                     f"value on '{g.name}' uses generators outside "
-                    f"'{chart.name}': {names}"
+                    f"'{chart.name}': {names}",
+                    g.name,
                 )
             if not p.is_homogeneous(parity + g.parity):
                 raise ParityError(
-                    f"value on '{g.name}' must be homogeneous of parity "
-                    f"{parity + g.parity}"
+                    f"parity violation: value on '{g.name}' must be homogeneous "
+                    f"of parity {parity + g.parity}",
+                    g.name,
                 )
             out[g] = p
         self.chart = chart

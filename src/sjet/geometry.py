@@ -11,7 +11,7 @@ time is the tuple of series coefficients re-expanded about that time.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .errors import (
     ComparisonError,
@@ -24,8 +24,6 @@ from .errors import (
 from .grassmann import (
     EVEN,
     Generator,
-    ODD,
-    Parity,
     Scalar,
     SuperPolynomial,
     TimeSeries,
@@ -40,15 +38,17 @@ def _check_unique_names(kind: str, generators):
     seen = {}
     for g in generators:
         if g.name in seen:
-            raise DeclarationError(f"duplicate {kind} name '{g.name}'")
+            raise DeclarationError(f"duplicate {kind} name '{g.name}'", g.name)
         seen[g.name] = g
     return seen
 
 
 class Chart(_Frozen):
-    """An ordered coordinate system of even and odd generators, equal only to itself."""
+    """An ordered coordinate system of even and odd generators, equal only to itself.
 
-    __slots__ = ("name", "coordinates", "_by_name", "_coord_set")
+    ``_lifts`` keeps the charts lifted from this one (see ``prolong_chart``)."""
+
+    __slots__ = ("name", "coordinates", "_by_name", "_coord_set", "_lifts")
 
     def __init__(self, name: str, coordinates: tuple[Generator, ...]):
         self._freeze(
@@ -56,6 +56,7 @@ class Chart(_Frozen):
             coordinates=coordinates,
             _by_name=_check_unique_names("coordinate", coordinates),
             _coord_set=frozenset(coordinates),
+            _lifts={},
         )
 
     @property
@@ -68,7 +69,7 @@ class Chart(_Frozen):
             return self._by_name[name]
         except KeyError:
             raise DeclarationError(
-                f"chart '{self.name}' has no coordinate '{name}'"
+                f"chart '{self.name}' has no coordinate '{name}'", name
             ) from None
 
     def __contains__(self, g: Generator) -> bool:
@@ -100,7 +101,7 @@ class ParameterAlgebra(_Frozen):
             return self._by_name[name]
         except KeyError:
             raise DeclarationError(
-                f"parameter algebra '{self.name}' has no generator '{name}'"
+                f"parameter algebra '{self.name}' has no generator '{name}'", name
             ) from None
 
     def __contains__(self, g: Generator) -> bool:
@@ -139,7 +140,8 @@ class Morphism:
     ``assignment[y]`` is the polynomial over the source coordinates that the
     target coordinate y pulls back to. Generators that are neither source
     coordinates nor assigned by a composition partner are treated as
-    constants, which is how adjoined parameters ride along.
+    constants, which is how adjoined parameters ride along. Every
+    assignment must be homogeneous of its coordinate's parity.
     """
 
     __slots__ = ("source", "target", "assignment")
@@ -154,11 +156,18 @@ class Morphism:
         for y in target.coordinates:
             if y not in assignment:
                 raise CoverageError(
-                    f"morphism assigns nothing to target coordinate '{y.name}'"
+                    f"morphism assigns nothing to target coordinate '{y.name}'",
+                    y.name,
                 )
             p = _as_polynomial(assignment[y])
             if p is NotImplemented:
                 raise TypeError("morphism assignments must be polynomials")
+            if not p.is_homogeneous(y.parity):
+                raise ParityError(
+                    f"parity violation: '{y.name}' is {y.parity} but its "
+                    f"pullback is not",
+                    y.name,
+                )
             values[y] = p
         self.source = source
         self.target = target
@@ -211,34 +220,6 @@ def compose(phi: Morphism, psi: Morphism) -> Morphism:
     return Morphism(psi.source, phi.target, assignment)
 
 
-class CoordinateCheck(NamedTuple):
-    coordinate: Generator
-    expected: Parity
-    found: str
-    ok: bool
-
-
-class MorphismReport(NamedTuple):
-    rows: tuple[CoordinateCheck, ...]
-
-    @property
-    def valid(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-
-def validate_morphism(phi: Morphism) -> MorphismReport:
-    """Check that every assignment is homogeneous of its coordinate's parity."""
-    rows = []
-    for y in phi.target.coordinates:
-        p = phi.assignment[y]
-        found = p.homogeneous_parity()
-        ok = p.is_homogeneous(y.parity)
-        rows.append(
-            CoordinateCheck(y, y.parity, "mixed" if found is None else str(found), ok)
-        )
-    return MorphismReport(tuple(rows))
-
-
 class SPoint:
     """A parameterised point: coordinates valued in a parameter algebra."""
 
@@ -254,18 +235,23 @@ class SPoint:
         out: dict[Generator, SuperPolynomial] = {}
         for g in chart.coordinates:
             if g not in values:
-                raise CoverageError(f"point assigns nothing to coordinate '{g.name}'")
+                raise CoverageError(
+                    f"point assigns nothing to coordinate '{g.name}'", g.name
+                )
             p = _as_polynomial(values[g])
             if p is NotImplemented:
                 raise TypeError("point values must be polynomials")
             if not p.is_homogeneous(g.parity):
                 raise ParityError(
-                    f"value of '{g.name}' must be homogeneous of parity {g.parity}"
+                    f"value of '{g.name}' must be homogeneous of parity {g.parity}",
+                    g.name,
                 )
             names = foreign_names(p, params)
             if names:
                 raise DeclarationError(
-                    f"value of '{g.name}' uses generators outside '{params.name}': {names}"
+                    f"value of '{g.name}' uses generators outside '{params.name}': "
+                    f"{names}",
+                    g.name,
                 )
             out[g] = p
         self.chart = chart
@@ -303,23 +289,28 @@ class SCurve:
         out: dict[Generator, TimeSeries] = {}
         for g in chart.coordinates:
             if g not in components:
-                raise CoverageError(f"curve assigns nothing to coordinate '{g.name}'")
+                raise CoverageError(
+                    f"curve assigns nothing to coordinate '{g.name}'", g.name
+                )
             series = components[g]
             if series.order != order:
                 raise OrderError(
-                    f"component '{g.name}' has order {series.order}, expected {order}"
+                    f"component '{g.name}' has order {series.order}, expected {order}",
+                    g.name,
                 )
             for r, c in enumerate(series.coefficients):
                 if not c.is_homogeneous(g.parity):
                     raise ParityError(
-                        f"coefficient {r} of '{g.name}' must be homogeneous "
-                        f"of parity {g.parity}"
+                        f"parity violation: coefficient {r} of '{g.name}' must "
+                        f"be homogeneous of parity {g.parity}",
+                        g.name,
                     )
                 names = foreign_names(c, params)
                 if names:
                     raise DeclarationError(
                         f"component '{g.name}' uses generators outside "
-                        f"'{params.name}': {names}"
+                        f"'{params.name}': {names}",
+                        g.name,
                     )
             out[g] = series
         self.chart = chart

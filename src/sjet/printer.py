@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .dsl import MAX_DIGITS
+from .errors import DomainError
 from .fields import RelationReport, VectorField
 from .geometry import Jet, Morphism, SCurve, SPoint
 from .grassmann import Monomial, SuperPolynomial, TIME, TimeSeries
@@ -30,6 +32,10 @@ def sorted_terms(p: SuperPolynomial) -> list[tuple[Monomial, Fraction]]:
     return sorted(p.items(), key=lambda item: _monomial_key(item[0]))
 
 
+# The smallest numerator or denominator that has more than MAX_DIGITS digits.
+_TOO_LONG = 10**MAX_DIGITS
+
+
 def format_scalar(c: Fraction) -> str:
     return str(c)
 
@@ -40,7 +46,8 @@ def render_terms(p: SuperPolynomial, name, power: str, scalar, join: str) -> str
     ``name(g)`` spells a generator, ``power.format(body, e)`` an even factor
     with exponent e > 1, ``scalar(c)`` a positive coefficient, and ``join``
     separates the factors of one term. A unit coefficient is left out; the
-    sign of each term is written in front of it.
+    sign of each term is written in front of it. A coefficient whose
+    numerator or denominator has more than MAX_DIGITS digits is a DomainError.
     """
     terms = sorted_terms(p)
     if not terms:
@@ -52,6 +59,8 @@ def render_terms(p: SuperPolynomial, name, power: str, scalar, join: str) -> str
         ]
         factors.extend(name(g) for g in mono.odd)
         magnitude = abs(coeff)
+        if magnitude.numerator >= _TOO_LONG or magnitude.denominator >= _TOO_LONG:
+            raise DomainError(f"a coefficient exceeds the limit of {MAX_DIGITS} digits")
         if not factors:
             body = scalar(magnitude)
         elif magnitude == 1:

@@ -18,11 +18,11 @@ interchange morphism realises the identification.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from typing import Mapping, NamedTuple, Union
 
 from .errors import DomainError, ParityError
-from .geometry import Chart, Morphism, compose, validate_morphism
+from .geometry import Chart, Morphism
 from .grassmann import (
     Generator,
     Parity,
@@ -76,7 +76,20 @@ class AntitangentChart(Chart):
         return f"AntitangentChart({self.name!r}, dim=({n}|{m}))"
 
 
-@lru_cache(maxsize=None)
+def _kept_with_base(build):
+    """Make ``build(chart, *rest)`` return, for equal arguments, the chart it
+    built first, kept in ``chart._lifts`` for as long as ``chart`` lives."""
+    @wraps(build)
+    def lift(chart: Chart, *rest):
+        key = (build.__name__, *rest)
+        if key not in chart._lifts:
+            chart._lifts[key] = build(chart, *rest)
+        return chart._lifts[key]
+
+    return lift
+
+
+@_kept_with_base
 def prolong_chart(chart: Chart, k: int) -> ProlongedChart:
     """The chart of k-th order jet coordinates over ``chart``.
 
@@ -95,7 +108,7 @@ def prolong_chart(chart: Chart, k: int) -> ProlongedChart:
     return ProlongedChart(f"T{k}({chart.name})", tuple(coordinates), chart, k, jets)
 
 
-@lru_cache(maxsize=None)
+@_kept_with_base
 def antitangent_chart(chart: Chart) -> AntitangentChart:
     """Adjoin one parity-flipped differential to every coordinate."""
     differentials = {}
@@ -107,20 +120,12 @@ def antitangent_chart(chart: Chart) -> AntitangentChart:
     return AntitangentChart(f"PiT({chart.name})", tuple(coords), chart, differentials)
 
 
-def _require_valid(phi: Morphism):
-    report = validate_morphism(phi)
-    if not report.valid:
-        bad = ", ".join(row.coordinate.name for row in report.rows if not row.ok)
-        raise ParityError(f"morphism is not parity-homogeneous at: {bad}")
-
-
 def prolong_morphism(phi: Morphism, k: int) -> Morphism:
     """Lift a morphism to k-th order jet charts.
 
     The lift substitutes the generic curve sum(x@r t^r) into each pullback
     and assigns the coefficient of t^r to y@r.
     """
-    _require_valid(phi)
     source = prolong_chart(phi.source, k)
     target = prolong_chart(phi.target, k)
     generic = {
@@ -168,7 +173,6 @@ def antitangent_morphism(phi: Morphism) -> Morphism:
     coordinate pulls back to sum(d.x * left-partial), differentials on the
     left.
     """
-    _require_valid(phi)
     source = antitangent_chart(phi.source)
     target = antitangent_chart(phi.target)
     assignment = {}
@@ -247,7 +251,7 @@ class ProductChart(Chart):
         return f"ProductChart({self.name!r}, dim=({n}|{m}))"
 
 
-@lru_cache(maxsize=None)
+@_kept_with_base
 def product_chart(left: Chart, right: Chart) -> ProductChart:
     """The product chart, coordinates renamed with factor prefixes."""
     lp, rp = left.name, right.name

@@ -8,7 +8,7 @@ import pytest
 
 from sjet import Chart, EVEN, Generator
 from sjet.cli import main, run
-from sjet.dsl import MAX_ORDER
+from sjet.dsl import MAX_DIGITS, MAX_ORDER
 from sjet.fields import RelationReport, RelationRow
 
 DOC = """\
@@ -103,6 +103,11 @@ class TestExitCodes:
         [
             ("morphism f : M -> M {\n  x = x^1000000000;\n}", (3, 9)),
             ("field D on M order 3000 parity odd {\n  d/d x@0 = d.x@0;\n}", (2, 20)),
+            pytest.param(
+                f"morphism f : M -> M {{\n  x = {'1' * 5000}*x;\n}}",
+                (3, 7),
+                id="long-literal",
+            ),
         ],
     )
     def test_limits_are_exit_two_at_the_number(self, tmp_path, body, where):
@@ -114,6 +119,30 @@ class TestExitCodes:
         (diagnostic,) = result.diagnostics
         assert "exceeds the limit" in diagnostic.message
         assert (diagnostic.line, diagnostic.column) == where
+
+    def test_literal_at_the_digit_limit_parses(self, tmp_path):
+        path = tmp_path / "digits.sman"
+        literal = "1" * MAX_DIGITS + "/" + "3" * MAX_DIGITS
+        path.write_text(
+            f"chart M (x: even);\nmorphism f : M -> M {{ x = {literal}*x; }}\n",
+            encoding="utf-8",
+        )
+        assert run(["check", str(path)]).exit_code == 0
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+    def test_long_coefficient_in_the_output_is_exit_two(self, tmp_path, fmt):
+        path = tmp_path / "digits.sman"
+        path.write_text(
+            "chart M (x: even);\n"
+            f"morphism f : M -> M {{ x = ({'1' * 3000}*x)^2; }}\n",
+            encoding="utf-8",
+        )
+        argv = ["prolong", str(path), "--morphism", "f", "--order", "0"]
+        result = run(argv + ["--format", fmt])
+        assert result.exit_code == 2
+        assert result.payload == ""
+        (diagnostic,) = result.diagnostics
+        assert f"exceeds the limit of {MAX_DIGITS} digits" in diagnostic.message
 
     @pytest.mark.parametrize(
         "argv",
@@ -333,6 +362,24 @@ class TestOutputContract:
             "json",
         ]
         assert run(argv).payload == run(argv).payload
+
+    def test_payload_does_not_depend_on_earlier_commands(self, doc_file, bad_file):
+        argv = ["prolong", doc_file, "--morphism", "f", "--order", "2"]
+        alone = subprocess.run(
+            [sys.executable, "-m", "sjet.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert alone.returncode == 0
+        for earlier in (
+            ["interchange", doc_file, "--chart", "M", "--order", "2"],
+            ["verify", doc_file, "--suite", "relations", "--order", "2"],
+            ["check", bad_file],
+            ["prolong", doc_file, "--morphism", "g", "--order", "3"],
+            argv,
+        ):
+            run(earlier)
+        assert run(argv).payload + "\n" == alone.stdout
 
     def test_diagnostics_are_plain_by_default(self, bad_file, capsys, monkeypatch):
         monkeypatch.delenv("SJET_COLOR", raising=False)

@@ -218,6 +218,78 @@ class TestDiagnostics:
         assert 0 <= span.start < span.end <= len(text)
 
 
+# Documents with exactly one error each, and where it is reported; the
+# morphism parity violation is pinned by TestDiagnostics above.
+LOCATED_ERRORS = {
+    "morphism missing a coordinate": (
+        "chart M (x: even, th: odd);\nchart N (y: even, xi: odd);\n"
+        "morphism f : M -> N { y = x; }",
+        ("assigns nothing to", "coordinate 'xi'"), (3, 1),
+    ),
+    "morphism coordinate assigned twice": (
+        "chart M (x: even, th: odd);\nmorphism g : M -> M { x = x; x = x; th = th; }",
+        ("assigned twice",), (2, 30),
+    ),
+    "left-hand name not a coordinate": (
+        "chart M (x: even, th: odd);\nmorphism g : M -> M { z = x; th = th; }",
+        ("'z' is not a coordinate of chart 'M'",), (2, 23),
+    ),
+    "duplicate coordinate": (
+        "chart M (x: even, y: odd, x: odd);",
+        ("duplicate coordinate name 'x'",), (1, 27),
+    ),
+    "duplicate parameter": (
+        "params P (s: even, s: odd);",
+        ("duplicate parameter name 's'",), (1, 20),
+    ),
+    "curve coefficient parity": (
+        "chart M (x: even);\nparams P (e: odd);\n"
+        "curve g on M params P order 1 {\n  x = e*t;\n}",
+        ("parity violation",), (4, 3),
+    ),
+    "curve missing a coordinate": (
+        "chart M (x: even, th: odd);\nparams P (s: even);\n"
+        "curve g on M params P order 1 { x = s*t; }",
+        ("assigns nothing to", "coordinate 'th'"), (3, 1),
+    ),
+    "field parity": (
+        "chart M (x: even);\nfield D on M parity odd {\n  d/d x = x;\n}",
+        ("parity violation",), (3, 7),
+    ),
+    "field coordinate assigned twice": (
+        "chart M (x: even);\nfield D on M parity even { d/d x = x; d/d x = x; }",
+        ("assigned twice",), (2, 43),
+    ),
+    "lifted field parity": (
+        "chart M (x: even);\nfield D on M order 1 parity odd { d/d x@1 = x@0; }",
+        ("parity violation",), (2, 39),
+    ),
+}
+
+
+class TestDiagnosticLocations:
+    @pytest.mark.parametrize("case", LOCATED_ERRORS)
+    def test_each_error_is_located(self, case):
+        text, messages, where = LOCATED_ERRORS[case]
+        with pytest.raises(DslError) as exc:
+            parse(text)
+        (d,) = exc.value.diagnostics
+        for message in messages:
+            assert message in d.message
+        assert (d.line, d.column) == where
+
+    def test_parameters_colliding_with_coordinates_are_located(self):
+        text = (
+            "chart M (x: even);\nparams P (x: even);\n"
+            "curve g on M params P order 0 { x = x; }"
+        )
+        with pytest.raises(DslError) as exc:
+            parse(text)
+        (d,) = exc.value.diagnostics
+        assert "collide" in d.message
+        assert (d.line, d.column) == (3, 1)
+
+
 def _mixed_signs():
     """-3/2*x^2*th + y - 1 + 1/3*x*y with x, th, y declared in that order."""
     x = Generator("x", EVEN)

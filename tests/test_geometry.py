@@ -26,7 +26,6 @@ from sjet import (
     reparameterise,
     series_compose,
     substitute,
-    validate_morphism,
 )
 from support import (
     rand_chart,
@@ -98,11 +97,10 @@ class TestMorphisms:
 
     def test_validation_flags_parity_violations(self):
         good = Morphism(M, N, {Y: poly(X) + const(2), XI: poly(TH)})
-        assert validate_morphism(good).valid
-        odd_into_even = Morphism(M, N, {Y: poly(TH), XI: poly(TH)})
-        report = validate_morphism(odd_into_even)
-        assert not report.valid
-        assert any(not row.ok and row.coordinate is Y for row in report.rows)
+        assert good.assignment[XI] == poly(TH)
+        with pytest.raises(ParityError, match="parity violation") as exc:
+            Morphism(M, N, {Y: poly(TH), XI: poly(TH)})
+        assert exc.value.subject == Y.name
 
     def test_validation_accepts_mixed_degree_odd_values(self):
         t1 = Generator("vt1", ODD)
@@ -114,7 +112,7 @@ class TestMorphisms:
         tgt = Chart("W", (Generator("wxi", ODD),))
         xi = tgt.coordinate("wxi")
         phi = Morphism(src, tgt, {xi: value})
-        assert validate_morphism(phi).valid
+        assert phi.assignment[xi] == value
 
 
 class TestPointsAndEvaluation:

@@ -1,5 +1,7 @@
 """Jet-chart lifts, parity-reversed lifts, rescalings and products."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -90,6 +92,25 @@ class TestChartLifts:
     def test_repeated_lifts_are_the_same_chart(self):
         assert prolong_chart(M, 2) is prolong_chart(M, 2)
 
+    def test_lifts_are_freed_with_their_chart(self):
+        def cycles(n):
+            for _ in range(n):
+                chart = Chart("L", (Generator("lx", EVEN), Generator("lth", ODD)))
+                antitangent_chart(prolong_chart(chart, 3))
+                product_chart(chart, chart)
+
+        tracemalloc.start()
+        try:
+            cycles(1000)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            cycles(1000)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 500_000
+
 
 class TestMorphismLifts:
     def test_square_map_at_order_two(self):
@@ -118,8 +139,8 @@ class TestMorphismLifts:
         assert lifted.assignment[tgt.jet(oxi, 1)] == x1 * t0 + x0 * t1
 
     def test_parity_violations_are_rejected(self):
-        bad = Morphism(M, N, {Y: poly(TH), XI: poly(TH)})
         with pytest.raises(ParityError):
+            bad = Morphism(M, N, {Y: poly(TH), XI: poly(TH)})
             prolong_morphism(bad, 1)
 
     def test_order_two_battery_against_the_chain_rule_oracle(self):

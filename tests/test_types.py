@@ -20,7 +20,6 @@ from sjet import (
 from sjet.cli import CommandResult
 from sjet.dsl import Diagnostic, Document, SourceSpan, Token
 from sjet.fields import RelationReport, RelationRow
-from sjet.geometry import CoordinateCheck, MorphismReport
 from sjet.prolongation import WeightCheck, WeightReport
 
 GX = Generator("tx", EVEN)
@@ -35,14 +34,11 @@ def record_pairs():
 
     def build():
         row = RelationRow(1, "d", "d", "0", True)
-        check = CoordinateCheck(GX, EVEN, "even", True)
         weight = WeightCheck(GX, True, False)
         return [
             SourceSpan(0, 3, 1, 1, 1, 4),
             Diagnostic("boom", SPAN),
             Token("IDENT", "abc", SPAN),
-            check,
-            MorphismReport((check,)),
             weight,
             WeightReport((weight,)),
             row,
@@ -108,7 +104,6 @@ class TestValueRecords:
         assert RelationRow(2, "J", "J", "0", True).label == "[J,J] = 0"
         assert not WeightCheck(GX, True, False).ok
         assert not WeightReport((WeightCheck(GX, True, False),)).valid
-        assert MorphismReport(()).valid
 
     def test_command_result_defaults_are_immutable(self):
         result = CommandResult(0)
