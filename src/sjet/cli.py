@@ -10,14 +10,14 @@ SJET_COLOR=1 to colour them.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
-from .dsl import MAX_ORDER, Diagnostic, DslError, SourceSpan, parse
+from .dsl import MAX_DIGITS, MAX_ORDER, Diagnostic, DslError, SourceSpan, parse
 from .errors import SjetError
 from .fields import VectorField, bracket, verify_relations
 from .geometry import compose, Jet, Morphism, jet_of_curve
@@ -44,88 +44,117 @@ class CommandResult(NamedTuple):
     diagnostics: tuple[Diagnostic, ...] = ()
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sjet",
-        description="Exact jet and lift calculus for charts with odd coordinates.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+class _Option:
+    __slots__ = ("name", "help", "default", "choices", "integer")
 
-    def with_file(sub):
-        sub.add_argument("file", help="document to read (.sman)")
+    def __init__(self, name, help, default=None, choices=(), integer=False):
+        self.name, self.help, self.default = name, help, default
+        self.choices, self.integer = choices, integer
 
-    def with_format(sub, choices):
-        sub.add_argument(
-            "--format",
-            choices=choices,
-            default="text",
-            help="output format (default: text)",
-        )
 
-    sub = commands.add_parser("check", help="parse and validate a document")
-    with_file(sub)
+_MORPHISM = _Option("morphism", "declared morphism name")
+_CHART = _Option("chart", "declared chart name")
+_CURVE = _Option("curve", "declared curve name")
+_LEFT = _Option("left", "declared field name")
+_RIGHT = _Option("right", "declared field name")
+_ORDER = _Option("order", "jet order", integer=True)
+_AT = _Option("at", "base time, a rational p/q", "0")
+_LAMBDA = _Option("lambda", "a rational p/q, or 'symbolic'", "symbolic")
+_SUITE = _Option("suite", "suite to run", None, ("relations", "functorial", "weights"))
+_FORMAT = _Option("format", "output format", "text", ("text", "json", "latex"))
+_NO_LATEX = _Option("format", "output format", "text", ("text", "json"))
 
-    sub = commands.add_parser("prolong", help="lift a morphism to jet charts")
-    with_file(sub)
-    sub.add_argument("--morphism", required=True, help="declared morphism name")
-    sub.add_argument("--order", required=True, type=int, help="jet order")
-    with_format(sub, ("text", "json", "latex"))
+# Per command: what it does, and its options; an option without a default is
+# required. Every command also reads one FILE and takes -h or --help.
+_CLI = {
+    "check": ("parse and validate a document", ()),
+    "prolong": ("lift a morphism to jet charts", (_MORPHISM, _ORDER, _FORMAT)),
+    "pit": ("parity-reversed tangent lift of a morphism", (_MORPHISM, _FORMAT)),
+    "interchange": ("check the interchange of both lifts", (_CHART, _ORDER, _NO_LATEX)),
+    "jet": ("take the jet of a declared curve", (_CURVE, _ORDER, _AT, _FORMAT)),
+    "bracket": ("superbracket of two declared fields", (_LEFT, _RIGHT, _FORMAT)),
+    "homothety": ("rescale jet coordinates", (_CHART, _ORDER, _LAMBDA, _FORMAT)),
+    "verify": ("run an identity suite over the document", (_SUITE, _ORDER, _NO_LATEX)),
+}
 
-    sub = commands.add_parser(
-        "pit", help="lift a morphism to the parity-reversed tangent charts"
-    )
-    with_file(sub)
-    sub.add_argument("--morphism", required=True, help="declared morphism name")
-    with_format(sub, ("text", "json", "latex"))
 
-    sub = commands.add_parser(
-        "interchange",
-        help="verify that both iterated lifts agree under the renaming",
-    )
-    with_file(sub)
-    sub.add_argument("--chart", required=True, help="declared chart name")
-    sub.add_argument("--order", required=True, type=int, help="jet order")
-    with_format(sub, ("text", "json"))
+def _help(command: str | None) -> CommandResult:
+    """The help text: every command, or the options of one."""
+    if command is None:
+        head = "COMMAND FILE [--OPTION VALUE ...]"
+        about = "Exact jet and lift calculus for charts with odd coordinates."
+        rows = [(name, what) for name, (what, _) in _CLI.items()]
+        rows.append(("", "run 'sjet COMMAND -h' for the options of one command"))
+    else:
+        head = f"{command} FILE [--OPTION VALUE ...]"
+        about, options = _CLI[command]
+        rows = [("FILE", "document to read (.sman)")]
+        for o in options:
+            when = "required" if o.default is None else f"default: {o.default}"
+            value = "|".join(o.choices) or o.name.upper()
+            rows.append((f"--{o.name} {value}", f"{o.help} ({when})"))
+    lines = [f"usage: sjet {head}", "", about, ""]
+    return CommandResult(0, "\n".join(lines + [f"  {a:<24} {b}" for a, b in rows]))
 
-    sub = commands.add_parser("jet", help="take the jet of a declared curve")
-    with_file(sub)
-    sub.add_argument("--curve", required=True, help="declared curve name")
-    sub.add_argument("--order", required=True, type=int, help="jet order")
-    sub.add_argument("--at", default="0", help="base time, a rational p/q")
-    with_format(sub, ("text", "json", "latex"))
 
-    sub = commands.add_parser("bracket", help="superbracket of two declared fields")
-    with_file(sub)
-    sub.add_argument("--left", required=True, help="declared field name")
-    sub.add_argument("--right", required=True, help="declared field name")
-    with_format(sub, ("text", "json", "latex"))
+def _usage(command: str | None, problem: str) -> CommandResult:
+    where = f"sjet {command}" if command else "sjet"
+    message = f"usage: {where}: {problem} (see '{where} -h')"
+    return CommandResult(2, "", (Diagnostic(message, _NO_SPAN),))
 
-    sub = commands.add_parser(
-        "homothety", help="rescaling of jet coordinates by powers of lambda"
-    )
-    with_file(sub)
-    sub.add_argument("--chart", required=True, help="declared chart name")
-    sub.add_argument("--order", required=True, type=int, help="jet order")
-    sub.add_argument(
-        "--lambda",
-        dest="lam",
-        default="symbolic",
-        help="a rational p/q, or 'symbolic' for a formal parameter",
-    )
-    with_format(sub, ("text", "json", "latex"))
 
-    sub = commands.add_parser("verify", help="run an identity suite over the document")
-    with_file(sub)
-    sub.add_argument(
-        "--suite",
-        required=True,
-        choices=("relations", "functorial", "weights"),
-        help="which identities to verify",
-    )
-    sub.add_argument("--order", required=True, type=int, help="jet order")
-    with_format(sub, ("text", "json"))
-
-    return parser
+def _parse_argv(argv: list[str]):
+    """The command line as ``args``, or else the help text (exit 0) or a usage
+    error (exit 2) as a CommandResult. An option is ``--name value`` or
+    ``--name=value``, and ``name`` may be any unique prefix of its name."""
+    command, *rest = argv or [""]
+    if command == "-h" or len(command) > 2 and "--help".startswith(command):
+        return _help(None)
+    if command not in _CLI:
+        return _usage(None, f"unknown command {command!r}" if command else "no command")
+    options = {option.name: option for option in _CLI[command][1]}
+    values = {}
+    files = []
+    rest = iter(rest)
+    for arg in rest:
+        if not arg.startswith("-"):
+            files.append(arg)
+            continue
+        if arg == "-h":
+            return _help(command)
+        flag, given, value = arg.partition("=")
+        names = [n for n in (*options, "help") if f"--{n}".startswith(flag)]
+        if len(flag) < 3 or not names:
+            return _usage(command, f"unknown option {flag}")
+        if len(names) > 1:
+            return _usage(command, f"{flag} is ambiguous: --{', --'.join(names)}")
+        if names == ["help"]:
+            return _help(command)
+        option = options[names[0]]
+        if not given:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                return _usage(command, f"--{option.name} expects a value")
+        if option.choices and value not in option.choices:
+            choices = ", ".join(option.choices)
+            return _usage(command, f"--{option.name} must be one of {choices}")
+        if option.integer:
+            digits = value.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()) or len(digits) > MAX_DIGITS:
+                problem = f"an integer of at most {MAX_DIGITS} digits"
+                return _usage(command, f"--{option.name} expects {problem}")
+            value = int(value)
+        values[option.name] = value
+    if len(files) != 1:
+        return _usage(command, f"expected one FILE, found {len(files)}")
+    for option in options.values():
+        if option.name not in values:
+            if option.default is None:
+                return _usage(command, f"--{option.name} is required")
+            values[option.name] = option.default
+    if "lambda" in values:  # a Python keyword, so not an attribute name
+        values["lam"] = values.pop("lambda")
+    return SimpleNamespace(command=command, file=files[0], **values)
 
 
 def _json_payload(kind: str, inputs: dict, result, diagnostics=()) -> str:
@@ -371,11 +400,9 @@ _COMMANDS = {
 def run(argv) -> CommandResult:
     """Execute one command line. Never raises: an error in the input gives
     exit 2, any other exception (a bug) exit EXIT_INTERNAL."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as stop:
-        return CommandResult(int(stop.code or 0))
+    args = _parse_argv(list(argv))
+    if isinstance(args, CommandResult):
+        return args
     if getattr(args, "order", 0) > MAX_ORDER:
         message = f"--order {args.order} exceeds the jet-order limit of {MAX_ORDER}"
         return CommandResult(2, "", (Diagnostic(message, _NO_SPAN),))

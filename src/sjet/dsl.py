@@ -35,6 +35,7 @@ every diagnostic carries a span into the source text.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -62,13 +63,6 @@ class SourceSpan(NamedTuple):
     end_line: int
     end_column: int
 
-    def merge(self, other: "SourceSpan") -> "SourceSpan":
-        first, last = (self, other) if self.start <= other.start else (other, self)
-        return SourceSpan(
-            first.start, last.end, first.line, first.column,
-            last.end_line, last.end_column,
-        )
-
 
 class Diagnostic(NamedTuple):
     message: str
@@ -94,60 +88,57 @@ class DslError(SjetError):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
+# The token kinds of the grammar, all ASCII. A punctuation token's kind is
+# its text; SKIP (whitespace and comments) makes no token.
 _TOKEN = re.compile(
     r"""
-      (?P<COMMENT>\#[^\n]*)
-    | (?P<WS>\s+)
+      (?P<SKIP>\#[^\n]*|[ \t\n\r\f\v]+)
     | (?P<DDT>d/d)
     | (?P<ARROW>->)
-    | (?P<NUMBER>\d+(?:/\d+)?)
-    | (?P<IDENT>(?:d\.)?[A-Za-z_][A-Za-z0-9_]*(?:@\d+)?)
+    | (?P<NUMBER>[0-9]+(?:/[0-9]+)?)
+    | (?P<IDENT>(?:d\.)?[A-Za-z_][A-Za-z0-9_]*(?:@[0-9]+)?)
     | (?P<PUNCT>[(){},;:=+\-*^|])
     """,
     re.VERBOSE,
 )
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    span: SourceSpan
+_Token = tuple[str, str, int, int]  # kind, text, start and end offsets
 
 
-def _lex(text: str) -> list[Token]:
+def _newlines(text: str) -> list[int]:
+    """The offsets of the line breaks of ``text``, in order."""
+    return [match.start() for match in re.finditer("\n", text)]
+
+
+def _span(newlines: list[int], start: int, end: int) -> SourceSpan:
+    """The span from ``start`` to ``end`` in a text with line breaks at ``newlines``."""
+    line = bisect_left(newlines, start)
+    end_line = bisect_left(newlines, end, line)
+    return SourceSpan(
+        start, end,
+        line + 1, start - (newlines[line - 1] if line else -1),
+        end_line + 1, end - (newlines[end_line - 1] if end_line else -1),
+    )
+
+
+def _lex(text: str) -> list[_Token]:
+    """The ``(kind, text, start, end)`` tokens of ``text``, ending with EOF."""
     tokens = []
     pos = 0
-    line = 1
-    column = 1
-
-    def advance(snippet: str):
-        nonlocal line, column
-        newlines = snippet.count("\n")
-        if newlines:
-            line += newlines
-            column = len(snippet) - snippet.rfind("\n")
-        else:
-            column += len(snippet)
-
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            span = SourceSpan(pos, pos + 1, line, column, line, column + 1)
-            raise DslError([Diagnostic(f"unexpected character {text[pos]!r}", span)])
+    for match in _TOKEN.finditer(text):
+        start, end = match.span()
+        if start != pos:
+            break
+        pos = end
         kind = match.lastgroup
-        snippet = match.group()
-        start_line, start_column = line, column
-        advance(snippet)
-        if kind not in ("COMMENT", "WS"):
-            span = SourceSpan(
-                match.start(), match.end(), start_line, start_column, line, column
-            )
-            if kind == "PUNCT":
-                kind = snippet
-            tokens.append(Token(kind, snippet, span))
-        pos = match.end()
-    end_span = SourceSpan(len(text), len(text), line, column, line, column)
-    tokens.append(Token("EOF", "", end_span))
+        if kind != "SKIP":
+            snippet = match.group()
+            tokens.append((snippet if kind == "PUNCT" else kind, snippet, start, end))
+    if pos != len(text):
+        span = _span(_newlines(text), pos, pos + 1)
+        raise DslError([Diagnostic(f"unexpected character {text[pos]!r}", span)])
+    tokens.append(("EOF", "", pos, pos))
     return tokens
 
 
@@ -199,66 +190,67 @@ MAX_DIGITS = 4000
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.tokens = _lex(text)
+        self.newlines = _newlines(text)
         self.pos = 0
         self.depth = 0  # open "(" and unary "-" in the current expression
 
     # -- token plumbing ---------------------------------------------------
 
-    def peek(self) -> Token:
+    def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self) -> _Token:
         token = self.tokens[self.pos]
-        if token.kind != "EOF":
+        if token[0] != "EOF":
             self.pos += 1
         return token
 
-    def fail(self, message: str, span: SourceSpan):
-        raise DslError([Diagnostic(message, span)])
+    def fail(self, message: str, token: _Token):
+        raise DslError([Diagnostic(message, _span(self.newlines, *token[2:]))])
 
-    def enter(self, token: Token):
+    def enter(self, token: _Token):
         """Open one more level of nesting at ``token``; refuse past the limit."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.fail(
                 f"expression nested deeper than {MAX_NESTING} levels "
                 "of '(' or unary '-'",
-                token.span,
+                token,
             )
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
+    def expect(self, kind: str, what: str | None = None) -> _Token:
         token = self.peek()
-        if token.kind != kind:
+        if token[0] != kind:
             expected = what or f"'{kind}'"
-            found = token.text or "end of input"
-            self.fail(f"expected {expected}, found {found!r}", token.span)
+            found = token[1] or "end of input"
+            self.fail(f"expected {expected}, found {found!r}", token)
         return self.advance()
 
-    def expect_keyword(self, word: str) -> Token:
+    def expect_keyword(self, word: str) -> _Token:
         token = self.peek()
-        if token.kind != "IDENT" or token.text != word:
-            found = token.text or "end of input"
-            self.fail(f"expected '{word}', found {found!r}", token.span)
+        if token[0] != "IDENT" or token[1] != word:
+            found = token[1] or "end of input"
+            self.fail(f"expected '{word}', found {found!r}", token)
         return self.advance()
 
-    def bounded(self, token: Token, limit: int, what: str) -> int:
+    def bounded(self, token: _Token, limit: int, what: str) -> int:
         """The whole number that ``token`` spells; past ``limit`` a located error."""
-        digits = token.text.lstrip("0") or "0"
+        digits = token[1].lstrip("0") or "0"
         if len(digits) > len(str(limit)) or int(digits) > limit:
-            self.fail(f"{what} exceeds the limit of {limit}", token.span)
+            self.fail(f"{what} exceeds the limit of {limit}", token)
         return int(digits)
 
     def expect_order(self) -> int:
         token = self.expect("NUMBER", "a nonnegative order")
-        if "/" in token.text:
-            self.fail("the order must be an integer", token.span)
+        if "/" in token[1]:
+            self.fail("the order must be an integer", token)
         return self.bounded(token, MAX_ORDER, "the jet order")
 
     def accept_keyword(self, word: str) -> bool:
         token = self.peek()
-        if token.kind == "IDENT" and token.text == word:
+        if token[0] == "IDENT" and token[1] == word:
             self.advance()
             return True
         return False
@@ -267,148 +259,141 @@ class _Parser:
 
     def parse_document(self) -> Document:
         doc = Document()
-        while self.peek().kind != "EOF":
+        while self.peek()[0] != "EOF":
             keyword = self.advance()
-            if keyword.kind != "IDENT":
-                self.fail(
-                    f"expected a declaration, found {keyword.text!r}", keyword.span
-                )
-            if keyword.text not in _DECLARATIONS:
-                self.fail(
-                    f"unknown declaration keyword {keyword.text!r}", keyword.span
-                )
-            what, table, method = _DECLARATIONS[keyword.text]
+            if keyword[0] != "IDENT":
+                self.fail(f"expected a declaration, found {keyword[1]!r}", keyword)
+            if keyword[1] not in _DECLARATIONS:
+                self.fail(f"unknown declaration keyword {keyword[1]!r}", keyword)
+            what, table, method = _DECLARATIONS[keyword[1]]
             name = self.expect("IDENT", f"a {what} name")
-            if name.text in getattr(doc, table):
-                self.fail(f"duplicate {what} name '{name.text}'", name.span)
-            getattr(self, method)(doc, keyword, name.text)
+            if name[1] in getattr(doc, table):
+                self.fail(f"duplicate {what} name '{name[1]}'", name)
+            getattr(self, method)(doc, keyword, name[1])
         return doc
 
-    def declare(self, doc: Document, keyword: Token, name: str, spans, build, *args):
+    def declare(self, doc: Document, keyword: _Token, name: str, where, build, *args):
         """Record ``build(*args)`` as the declaration that ``keyword`` opened.
 
         The engine constructor ``build`` makes every check; an error it raises
-        is located at ``spans[error.subject]``, the span where the name it is
+        is located at ``where[error.subject]``, the token where the name it is
         about was written, or else at the whole declaration.
         """
-        whole = keyword.span.merge(self.tokens[self.pos - 1].span)
+        whole = ("DECL", keyword[1], keyword[2], self.tokens[self.pos - 1][3])
         try:
             value = build(*args)
         except SjetError as exc:
-            self.fail(str(exc), spans.get(exc.subject, whole))
-        getattr(doc, _DECLARATIONS[keyword.text][1])[name] = value
-        doc.declarations.append((keyword.text, name))
-        doc.spans[(keyword.text, name)] = whole
+            self.fail(str(exc), where.get(exc.subject, whole))
+        getattr(doc, _DECLARATIONS[keyword[1]][1])[name] = value
+        doc.declarations.append((keyword[1], name))
+        doc.spans[(keyword[1], name)] = _span(self.newlines, *whole[2:])
 
     def expect_parity(self) -> Parity:
         token = self.expect("IDENT", "'even' or 'odd'")
-        if token.text not in ("even", "odd"):
-            self.fail(f"expected 'even' or 'odd', found {token.text!r}", token.span)
-        return EVEN if token.text == "even" else ODD
+        if token[1] not in ("even", "odd"):
+            self.fail(f"expected 'even' or 'odd', found {token[1]!r}", token)
+        return EVEN if token[1] == "even" else ODD
 
-    def parse_generators(self, doc: Document, keyword: Token, name: str):
+    def parse_generators(self, doc: Document, keyword: _Token, name: str):
         """The list of generators of a chart or of a parameter algebra."""
         self.expect("(")
         generators = []
-        spans = {}
+        where = {}
         while True:
             token = self.expect("IDENT", "a coordinate name")
-            if token.text == _RESERVED_TIME:
-                self.fail("'t' is reserved for the time variable", token.span)
-            if "@" in token.text or token.text.startswith("d."):
+            text = token[1]
+            if text == _RESERVED_TIME:
+                self.fail("'t' is reserved for the time variable", token)
+            if "@" in text or text.startswith("d."):
                 self.fail(
-                    f"declared names may not contain '@' or a 'd.' prefix: "
-                    f"{token.text!r}",
-                    token.span,
+                    f"declared names may not contain '@' or a 'd.' prefix: {text!r}",
+                    token,
                 )
             self.expect(":")
-            generators.append(Generator(token.text, self.expect_parity()))
-            spans[token.text] = token.span
+            generators.append(Generator(text, self.expect_parity()))
+            where[text] = token
             token = self.advance()
-            if token.kind == ")":
+            if token[0] == ")":
                 break
-            if token.kind != ",":
+            if token[0] != ",":
                 self.fail(
-                    f"expected ',' or ')', found {token.text or 'end of input'!r}",
-                    token.span,
+                    f"expected ',' or ')', found {token[1] or 'end of input'!r}",
+                    token,
                 )
         self.expect(";")
-        build = Chart if keyword.text == "chart" else ParameterAlgebra
-        self.declare(doc, keyword, name, spans, build, name, tuple(generators))
+        build = Chart if keyword[1] == "chart" else ParameterAlgebra
+        self.declare(doc, keyword, name, where, build, name, tuple(generators))
 
-    def lookup_chart(self, doc: Document, token: Token) -> Chart:
-        chart = doc.charts.get(token.text)
+    def lookup_chart(self, doc: Document, token: _Token) -> Chart:
+        chart = doc.charts.get(token[1])
         if chart is None:
-            self.fail(f"chart '{token.text}' is not declared", token.span)
+            self.fail(f"chart '{token[1]}' is not declared", token)
         return chart
 
     def parse_assignments(self, chart: Chart, resolver, ddt: bool = False):
         """Parse '{' ('d/d'? lhs '=' expr ';')+ '}' with a resolver for expr names.
 
         Every left-hand name must be a coordinate of ``chart``, assigned at
-        most once. Returns the values by coordinate and, by name, the span of
-        each left-hand name.
+        most once. Returns the values by coordinate and, by name, the token
+        of each left-hand name.
         """
         self.expect("{")
         values: dict[Generator, SuperPolynomial] = {}
-        spans: dict[str, SourceSpan] = {}
+        where: dict[str, _Token] = {}
         while True:
             token = self.peek()
-            if token.kind == "}":
+            if token[0] == "}":
                 if not values:
-                    self.fail("a body needs at least one assignment", token.span)
+                    self.fail("a body needs at least one assignment", token)
                 self.advance()
-                return values, spans
+                return values, where
             if ddt:
                 self.expect("DDT", "'d/d'")
             lhs = self.expect("IDENT", "a coordinate name")
+            text = lhs[1]
             try:
-                coordinate = chart.coordinate(lhs.text)
+                coordinate = chart.coordinate(text)
             except SjetError:
-                self.fail(
-                    f"'{lhs.text}' is not a coordinate of chart '{chart.name}'",
-                    lhs.span,
-                )
-            if lhs.text in spans:
-                self.fail(f"coordinate '{lhs.text}' is assigned twice", lhs.span)
-            spans[lhs.text] = lhs.span
+                self.fail(f"'{text}' is not a coordinate of chart '{chart.name}'", lhs)
+            if text in where:
+                self.fail(f"coordinate '{text}' is assigned twice", lhs)
+            where[text] = lhs
             self.expect("=")
             values[coordinate] = self.parse_expr(resolver)
             self.expect(";")
 
-    def parse_morphism(self, doc: Document, keyword: Token, name: str):
+    def parse_morphism(self, doc: Document, keyword: _Token, name: str):
         self.expect(":")
         source = self.lookup_chart(doc, self.expect("IDENT", "a source chart"))
         self.expect("ARROW", "'->'")
         target = self.lookup_chart(doc, self.expect("IDENT", "a target chart"))
         resolver = {g.name: g for g in source.coordinates}
-        values, spans = self.parse_assignments(target, resolver)
-        self.declare(doc, keyword, name, spans, Morphism, source, target, values)
+        values, where = self.parse_assignments(target, resolver)
+        self.declare(doc, keyword, name, where, Morphism, source, target, values)
 
-    def parse_curve(self, doc: Document, keyword: Token, name: str):
+    def parse_curve(self, doc: Document, keyword: _Token, name: str):
         self.expect_keyword("on")
         chart = self.lookup_chart(doc, self.expect("IDENT", "a chart name"))
         self.expect_keyword("params")
         params_token = self.expect("IDENT", "a parameter algebra name")
-        params = doc.params.get(params_token.text)
+        params = doc.params.get(params_token[1])
         if params is None:
             self.fail(
-                f"parameter algebra '{params_token.text}' is not declared",
-                params_token.span,
+                f"parameter algebra '{params_token[1]}' is not declared", params_token
             )
         self.expect_keyword("order")
         order = self.expect_order()
         resolver = {g.name: g for g in params.generators}
         resolver[_RESERVED_TIME] = TIME
-        values, spans = self.parse_assignments(chart, resolver)
+        values, where = self.parse_assignments(chart, resolver)
         components = {
             g: TimeSeries.from_polynomial(value, order) for g, value in values.items()
         }
         self.declare(
-            doc, keyword, name, spans, SCurve, chart, params, order, components
+            doc, keyword, name, where, SCurve, chart, params, order, components
         )
 
-    def parse_field(self, doc: Document, keyword: Token, name: str):
+    def parse_field(self, doc: Document, keyword: _Token, name: str):
         self.expect_keyword("on")
         base = self.lookup_chart(doc, self.expect("IDENT", "a chart name"))
         order = self.expect_order() if self.accept_keyword("order") else None
@@ -419,8 +404,8 @@ class _Parser:
         else:
             chart = antitangent_chart(prolong_chart(base, order))
         resolver = {g.name: g for g in chart.coordinates}
-        values, spans = self.parse_assignments(chart, resolver, ddt=True)
-        self.declare(doc, keyword, name, spans, VectorField, chart, parity, values)
+        values, where = self.parse_assignments(chart, resolver, ddt=True)
+        self.declare(doc, keyword, name, where, VectorField, chart, parity, values)
         doc.field_orders[name] = order
         doc.field_bases[name] = base.name
 
@@ -429,11 +414,11 @@ class _Parser:
     def parse_expr(self, resolver) -> SuperPolynomial:
         value = self.parse_term(resolver)
         while True:
-            token = self.peek()
-            if token.kind == "+":
+            kind = self.peek()[0]
+            if kind == "+":
                 self.advance()
                 value = value + self.parse_term(resolver)
-            elif token.kind == "-":
+            elif kind == "-":
                 self.advance()
                 value = value - self.parse_term(resolver)
             else:
@@ -441,14 +426,14 @@ class _Parser:
 
     def parse_term(self, resolver) -> SuperPolynomial:
         value = self.parse_factor(resolver)
-        while self.peek().kind == "*":
+        while self.peek()[0] == "*":
             self.advance()
             value = value * self.parse_factor(resolver)
         return value
 
     def parse_factor(self, resolver) -> SuperPolynomial:
         token = self.peek()
-        if token.kind == "-":
+        if token[0] == "-":
             self.advance()
             self.enter(token)
             value = -self.parse_factor(resolver)
@@ -458,48 +443,48 @@ class _Parser:
 
     def parse_power(self, resolver) -> SuperPolynomial:
         value = self.parse_atom(resolver)
-        while self.peek().kind == "^":
+        while self.peek()[0] == "^":
             self.advance()
             exponent = self.expect("NUMBER", "a nonnegative integer power")
-            if "/" in exponent.text:
-                self.fail("powers must be nonnegative integers", exponent.span)
+            if "/" in exponent[1]:
+                self.fail("powers must be nonnegative integers", exponent)
             value = value ** self.bounded(exponent, MAX_EXPONENT, "the exponent")
         return value
 
     def parse_atom(self, resolver) -> SuperPolynomial:
         token = self.peek()
-        if token.kind == "NUMBER":
+        kind, text = token[0], token[1]
+        if kind == "NUMBER":
             self.advance()
-            if max(map(len, token.text.split("/"))) > MAX_DIGITS:
+            if max(map(len, text.split("/"))) > MAX_DIGITS:
                 self.fail(
                     f"a rational literal exceeds the limit of {MAX_DIGITS} digits",
-                    token.span,
+                    token,
                 )
             try:
-                value = Fraction(token.text)
+                value = Fraction(text)
             except ZeroDivisionError:
-                self.fail("rational literal has denominator zero", token.span)
+                self.fail("rational literal has denominator zero", token)
             return SuperPolynomial.scalar(value)
-        if token.kind == "IDENT":
+        if kind == "IDENT":
             self.advance()
-            generator = resolver.get(token.text)
+            generator = resolver.get(text)
             if generator is None:
-                self.fail(f"undeclared identifier '{token.text}'", token.span)
+                self.fail(f"undeclared identifier '{text}'", token)
             return poly(generator)
-        if token.kind == "(":
+        if kind == "(":
             self.advance()
             self.enter(token)
             value = self.parse_expr(resolver)
             self.expect(")")
             self.depth -= 1
             return value
-        found = token.text or "end of input"
-        self.fail(f"expected an expression, found {found!r}", token.span)
+        self.fail(f"expected an expression, found {text or 'end of input'!r}", token)
 
 
 def parse(text: str) -> Document:
     """Parse a document, raising DslError with located diagnostics."""
-    return _Parser(_lex(text)).parse_document()
+    return _Parser(text).parse_document()
 
 
 def format_document(doc: Document) -> str:

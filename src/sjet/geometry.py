@@ -86,23 +86,11 @@ class Chart(_Frozen):
 class ParameterAlgebra(_Frozen):
     """Auxiliary generators that parameterise points and curves."""
 
-    __slots__ = ("name", "generators", "_by_name", "_gen_set")
+    __slots__ = ("name", "generators", "_gen_set")
 
     def __init__(self, name: str, generators: tuple[Generator, ...]):
-        self._freeze(
-            name=name,
-            generators=generators,
-            _by_name=_check_unique_names("parameter", generators),
-            _gen_set=frozenset(generators),
-        )
-
-    def generator(self, name: str) -> Generator:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise DeclarationError(
-                f"parameter algebra '{self.name}' has no generator '{name}'", name
-            ) from None
+        _check_unique_names("parameter", generators)
+        self._freeze(name=name, generators=generators, _gen_set=frozenset(generators))
 
     def __contains__(self, g: Generator) -> bool:
         return g in self._gen_set

@@ -362,7 +362,7 @@ class SuperPolynomial:
         return parities.pop()
 
     def is_homogeneous(self, parity: Parity) -> bool:
-        return all(m.parity is parity for m in self._terms)
+        return all(len(m.odd) % 2 == parity for m in self._terms)
 
     # -- arithmetic -------------------------------------------------------
 

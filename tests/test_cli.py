@@ -164,12 +164,12 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         result = run(["frobnicate", "x.sman"])
         assert result.exit_code == 2
-        capsys.readouterr()
+        assert capsys.readouterr() == ("", "")
 
     def test_unknown_flag(self, doc_file, capsys):
         result = run(["check", doc_file, "--nope"])
         assert result.exit_code == 2
-        capsys.readouterr()
+        assert capsys.readouterr() == ("", "")
 
     def test_unknown_morphism_name(self, doc_file):
         result = run(["prolong", doc_file, "--morphism", "zz", "--order", "1"])
@@ -240,6 +240,154 @@ class TestExitCodes:
         assert err.endswith(
             "error: 0:0: internal error: ZeroDivisionError: a bug over two lines\n"
         )
+
+
+USAGE_ERRORS = {
+    "no command": [],
+    "unknown command": ["frobnicate", "{doc}"],
+    "option before the command": ["--format", "json", "check", "{doc}"],
+    "unknown flag": ["check", "{doc}", "--nope"],
+    "unknown short flag": ["pit", "{doc}", "--morphism", "f", "-x"],
+    "missing required option": ["prolong", "{doc}", "--order", "1"],
+    "value outside the choices": ["pit", "{doc}", "--morphism", "f", "--format", "xml"],
+    "suite outside the choices": ["verify", "{doc}", "--suite", "all", "--order", "1"],
+    "order not an integer": ["prolong", "{doc}", "--morphism", "f", "--order", "two"],
+    "order with a fraction": ["prolong", "{doc}", "--morphism", "f", "--order=1/2"],
+    "order with a Unicode digit": ["prolong", "{doc}", "--morphism", "f", "--order", "\u0663"],
+    "order of 5000 digits": ["prolong", "{doc}", "--morphism", "f", "--order", "9" * 5000],
+    "option with no value at the end": ["prolong", "{doc}", "--morphism", "f", "--order"],
+    "option followed by an option": ["prolong", "{doc}", "--morphism", "--order", "1"],
+    "no file": ["prolong", "--morphism", "f", "--order", "1"],
+    "two files": ["check", "{doc}", "{doc}"],
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("case", USAGE_ERRORS)
+    def test_is_exit_two_with_one_usage_diagnostic(self, doc_file, case, capsys):
+        argv = [arg.replace("{doc}", doc_file) for arg in USAGE_ERRORS[case]]
+        result = run(argv)
+        assert result.exit_code == 2
+        assert result.payload == ""
+        (diagnostic,) = result.diagnostics
+        assert diagnostic.message.startswith("usage:")
+        assert capsys.readouterr() == ("", "")
+
+    def test_ambiguous_prefix(self, doc_file, monkeypatch):
+        import sjet.cli as cli_module
+
+        about, options = cli_module._CLI["prolong"]
+        orbit = cli_module._Option("orbit", "a second option starting with 'or'")
+        monkeypatch.setitem(cli_module._CLI, "prolong", (about, options + (orbit,)))
+        argv = ["prolong", doc_file, "--morphism", "f", "--or", "1", "--orbit", "x"]
+        result = run(argv)
+        assert result.exit_code == 2
+        (diagnostic,) = result.diagnostics
+        assert diagnostic.message.startswith("usage:")
+        assert "--or is ambiguous" in diagnostic.message
+
+    def test_module_entry_point_writes_the_usage_error_to_stderr(self, doc_file):
+        done = subprocess.run(
+            [sys.executable, "-m", "sjet.cli", "prolong", doc_file, "--order", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: 0:0: usage: sjet prolong:")
+        assert "--morphism is required" in done.stderr
+
+    def test_negative_order_is_a_value(self, doc_file):
+        result = run(["prolong", doc_file, "--morphism", "f", "--order", "-1"])
+        assert result.exit_code == 2
+        assert not result.diagnostics[0].message.startswith("usage:")
+
+
+class TestHelp:
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    def test_top_level_lists_every_command(self, flag):
+        result = run([flag])
+        assert result.exit_code == 0
+        assert result.diagnostics == ()
+        listed = [line.split()[0] for line in result.payload.splitlines()[4:12]]
+        assert listed == [
+            "check", "prolong", "pit", "interchange",
+            "jet", "bracket", "homothety", "verify",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prolong", "-h"],
+            ["prolong", "--help"],
+            ["prolong", "x.sman", "--morphism", "f", "-h"],
+        ],
+    )
+    def test_command_lists_its_options(self, argv):
+        result = run(argv)
+        assert result.exit_code == 0
+        assert result.payload.startswith("usage: sjet prolong FILE")
+        options = [
+            line.split()[0]
+            for line in result.payload.splitlines()
+            if line.startswith("  --")
+        ]
+        assert options == ["--morphism", "--order", "--format"]
+        assert "text|json|latex" in result.payload
+
+    def test_help_is_printed_to_stdout(self, capsys):
+        assert main(["verify", "-h"]) == 0
+        captured = capsys.readouterr()
+        assert "relations|functorial|weights" in captured.out
+        assert captured.err == ""
+
+
+class TestSpellings:
+    @pytest.mark.parametrize(
+        "spelled",
+        [
+            ["--morphism=f", "--order=2", "--format=json"],
+            ["--morph", "f", "--o", "2", "--f", "json"],
+            ["--m=f", "--or=2", "--format", "json"],
+        ],
+    )
+    def test_payload_is_byte_identical_to_the_full_spelling(self, doc_file, spelled):
+        full = run(["prolong", doc_file, "--morphism", "f", "--order", "2",
+                    "--format", "json"])
+        assert full.exit_code == 0
+        assert run(["prolong", doc_file, *spelled]) == full
+
+    def test_file_may_come_before_between_or_after_the_options(self, doc_file):
+        full = run(["jet", doc_file, "--curve", "gamma", "--order", "2", "--at", "1"])
+        assert full.exit_code == 0
+        for argv in (
+            ["jet", "--curve", "gamma", doc_file, "--order", "2", "--at", "1"],
+            ["jet", "--curve", "gamma", "--order", "2", "--at", "1", doc_file],
+        ):
+            assert run(argv) == full
+
+    def test_later_option_wins(self, doc_file):
+        once = run(["pit", doc_file, "--morphism", "f"])
+        assert run(["pit", doc_file, "--morphism", "g", "--morphism", "f"]) == once
+
+
+class TestAsciiSource:
+    @pytest.mark.parametrize(
+        "body, where",
+        [("x = \u0663*x;", (3, 7)), ("x = \uff13*x;", (3, 7)), ("x = x\u2028;", (3, 8))],
+    )
+    def test_non_ascii_is_exit_two_at_the_character(self, tmp_path, body, where):
+        path = tmp_path / "unicode.sman"
+        path.write_text(
+            f"chart M (x: even);\nmorphism f : M -> M {{\n  {body}\n}}\n",
+            encoding="utf-8",
+        )
+        result = run(["check", str(path)])
+        assert result.exit_code == 2
+        assert result.payload == ""
+        (diagnostic,) = result.diagnostics
+        assert diagnostic.message.startswith("unexpected character")
+        assert (diagnostic.line, diagnostic.column) == where
 
 
 class TestCommands:

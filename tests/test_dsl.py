@@ -1,7 +1,10 @@
 """Surface syntax, diagnostics, canonical printing and LaTeX output."""
 
+import re
 from fractions import Fraction
 from functools import cmp_to_key
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -27,7 +30,16 @@ from sjet import (
     prolong_morphism,
     verify_relations,
 )
-from sjet.dsl import MAX_EXPONENT, MAX_NESTING, MAX_ORDER
+from sjet.dsl import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    MAX_ORDER,
+    Diagnostic,
+    SourceSpan,
+    _lex,
+    _newlines,
+    _span,
+)
 from sjet.fields import RelationReport, RelationRow
 from sjet.printer import sorted_terms
 from support import rand_document_text, rand_monomial, seeded
@@ -149,6 +161,22 @@ class TestDiagnostics:
     def test_unexpected_character(self):
         d = self._diag("chart M (x: even) $;")
         assert "unexpected character" in d.message
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("  x = \u0663*x;", (3, 7)),  # ARABIC-INDIC DIGIT THREE
+            ("  x = \uff13*x;", (3, 7)),  # FULLWIDTH DIGIT THREE
+            ("  x = x\u2028;", (3, 8)),  # LINE SEPARATOR
+            ("  x = x\u00a0+ x;", (3, 8)),  # NO-BREAK SPACE
+            ("  x = x\u00e9;", (3, 8)),  # LATIN SMALL LETTER E WITH ACUTE
+        ],
+    )
+    def test_source_is_ascii(self, body, where):
+        d = self._diag(f"chart M (x: even);\nmorphism f : M -> M {{\n{body}\n}}\n")
+        assert d.message.startswith("unexpected character")
+        assert (d.line, d.column) == where
+        assert d.span.end == d.span.start + 1
 
     @pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", "")])
     def test_nesting_past_the_limit_is_located(self, opener, closer):
@@ -379,6 +407,136 @@ class TestCanonicalPrinting:
             text = rand_document_text(rng)
             canonical = format_document(parse(text))
             assert format_document(parse(canonical)) == canonical
+
+
+class _ReferenceToken(NamedTuple):
+    kind: str
+    text: str
+    span: SourceSpan
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"""
+      (?P<COMMENT>\#[^\n]*)
+    | (?P<WS>\s+)
+    | (?P<DDT>d/d)
+    | (?P<ARROW>->)
+    | (?P<NUMBER>\d+(?:/\d+)?)
+    | (?P<IDENT>(?:d\.)?[A-Za-z_][A-Za-z0-9_]*(?:@\d+)?)
+    | (?P<PUNCT>[(){},;:=+\-*^|])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_lex(text):
+    """The lexer that tracked line and column per token, as it was before
+    tokens became offsets: the oracle for the offsets and the line table."""
+    tokens = []
+    pos = 0
+    line = 1
+    column = 1
+
+    def advance(snippet):
+        nonlocal line, column
+        newlines = snippet.count("\n")
+        if newlines:
+            line += newlines
+            column = len(snippet) - snippet.rfind("\n")
+        else:
+            column += len(snippet)
+
+    while pos < len(text):
+        match = _REFERENCE_TOKEN.match(text, pos)
+        if match is None:
+            span = SourceSpan(pos, pos + 1, line, column, line, column + 1)
+            raise DslError([Diagnostic(f"unexpected character {text[pos]!r}", span)])
+        kind = match.lastgroup
+        snippet = match.group()
+        start_line, start_column = line, column
+        advance(snippet)
+        if kind not in ("COMMENT", "WS"):
+            span = SourceSpan(
+                match.start(), match.end(), start_line, start_column, line, column
+            )
+            if kind == "PUNCT":
+                kind = snippet
+            tokens.append(_ReferenceToken(kind, snippet, span))
+        pos = match.end()
+    end_span = SourceSpan(len(text), len(text), line, column, line, column)
+    tokens.append(_ReferenceToken("EOF", "", end_span))
+    return tokens
+
+
+def _readme_document():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Document language", 1)[1]
+    return section.split("```\n", 2)[1]
+
+
+def _layouts(text):
+    """``text`` as written, with CRLF line ends, with tabs, and with comments."""
+    yield text
+    yield text.replace("\n", "\r\n")
+    yield text.replace("  ", "\t").replace(" ", " \t ")
+    yield "# head\n" + text.replace(";\n", "; # note ; x = 1\n") + "\n# tail"
+
+
+class TestLexer:
+    def _agree(self, text):
+        expected = _reference_lex(text)
+        newlines = _newlines(text)
+        tokens = _lex(text)
+        assert [(k, t, _span(newlines, a, b)) for k, t, a, b in tokens] == [
+            (token.kind, token.text, token.span) for token in expected
+        ]
+        if expected[-1].span.start == 0:
+            return
+        doc = parse(text)
+        by_start = {token.span.start: token for token in expected}
+        by_end = {token.span.end: token for token in expected}
+        for (kind, name), span in doc.spans.items():
+            first, last = by_start[span.start], by_end[span.end]
+            assert first.text == kind
+            assert span == SourceSpan(
+                span.start, span.end, first.span.line, first.span.column,
+                last.span.end_line, last.span.end_column,
+            )
+
+    def test_random_documents(self):
+        rng = seeded(11)
+        for _ in range(60):
+            for text in _layouts(rand_document_text(rng)):
+                self._agree(text)
+
+    def test_readme_document(self):
+        for text in _layouts(_readme_document()):
+            self._agree(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "\n\n", "# only a comment", "chart M (x: even);", " \t\r\n# c\r\nchart"],
+    )
+    def test_edges(self, text):
+        assert [(k, t, _span(_newlines(text), a, b)) for k, t, a, b in _lex(text)] == [
+            tuple(token) for token in _reference_lex(text)
+        ]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "chart M (x: even) $;",
+            "chart M (x: even);\r\n\tmorphism f : M -> M { x = x ! 2; }",
+            "# a comment\n\n  chart M (x: even); %",
+            "chart M (x: even);\nmorphism f : M -> M { x = x; }\n?",
+        ],
+    )
+    def test_unexpected_character_is_located_as_before(self, text):
+        with pytest.raises(DslError) as expected:
+            _reference_lex(text)
+        with pytest.raises(DslError) as found:
+            parse(text)
+        assert found.value.diagnostics == expected.value.diagnostics
 
 
 class TestLatex:

@@ -99,14 +99,14 @@ MUTANTS = (
     Mutant(
         "dsl-ignores-subject",
         "sjet/dsl.py",
-        "self.fail(str(exc), spans.get(exc.subject, whole))",
+        "self.fail(str(exc), where.get(exc.subject, whole))",
         "self.fail(str(exc), whole)",
         ("tests/test_dsl.py",),
     ),
     Mutant(
         "literal-digits-unbounded",
         "sjet/dsl.py",
-        'if max(map(len, token.text.split("/"))) > MAX_DIGITS:',
+        'if max(map(len, text.split("/"))) > MAX_DIGITS:',
         "if False:",
         ("tests/test_cli.py",),
     ),
@@ -115,6 +115,34 @@ MUTANTS = (
         "sjet/printer.py",
         "if magnitude.numerator >= _TOO_LONG"
         " or magnitude.denominator >= _TOO_LONG:",
+        "if False:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "lexer-skips-unknown-characters",
+        "sjet/dsl.py",
+        "if start != pos:",
+        "if False:",
+        ("tests/test_dsl.py",),
+    ),
+    Mutant(
+        "cli-required-option-unchecked",
+        "sjet/cli.py",
+        "if option.default is None:",
+        "if False:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cli-choices-unchecked",
+        "sjet/cli.py",
+        "if option.choices and value not in option.choices:",
+        "if False:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cli-ambiguous-prefix-accepted",
+        "sjet/cli.py",
+        "if len(names) > 1:",
         "if False:",
         ("tests/test_cli.py",),
     ),
