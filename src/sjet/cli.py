@@ -17,7 +17,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .dsl import MAX_DIGITS, MAX_ORDER, Diagnostic, DslError, SourceSpan, parse
+from .dsl import MAX_DIGITS, MAX_ORDER, Diagnostic, DslError, parse
 from .errors import SjetError
 from .fields import VectorField, bracket, verify_relations
 from .geometry import compose, Jet, Morphism, jet_of_curve
@@ -32,8 +32,6 @@ from .prolongation import (
     prolong_morphism,
     weight_report,
 )
-
-_NO_SPAN = SourceSpan(0, 0, 0, 0, 0, 0)
 
 EXIT_INTERNAL = 3
 
@@ -100,7 +98,7 @@ def _help(command: str | None) -> CommandResult:
 def _usage(command: str | None, problem: str) -> CommandResult:
     where = f"sjet {command}" if command else "sjet"
     message = f"usage: {where}: {problem} (see '{where} -h')"
-    return CommandResult(2, "", (Diagnostic(message, _NO_SPAN),))
+    return CommandResult(2, "", (Diagnostic(message),))
 
 
 def _parse_argv(argv: list[str]):
@@ -157,19 +155,11 @@ def _parse_argv(argv: list[str]):
     return SimpleNamespace(command=command, file=files[0], **values)
 
 
-def _json_payload(kind: str, inputs: dict, result, diagnostics=()) -> str:
+def _json_payload(kind: str, inputs: dict, result) -> str:
     import json  # only JSON output pays for importing it
 
     return json.dumps(
-        {
-            "kind": kind,
-            "inputs": inputs,
-            "result": result,
-            "diagnostics": [
-                {"message": d.message, "line": d.line, "column": d.column}
-                for d in diagnostics
-            ],
-        },
+        {"kind": kind, "inputs": inputs, "result": result, "diagnostics": []},
         indent=2,
     )
 
@@ -405,28 +395,28 @@ def run(argv) -> CommandResult:
         return args
     if getattr(args, "order", 0) > MAX_ORDER:
         message = f"--order {args.order} exceeds the jet-order limit of {MAX_ORDER}"
-        return CommandResult(2, "", (Diagnostic(message, _NO_SPAN),))
+        return CommandResult(2, "", (Diagnostic(message),))
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:
-        return CommandResult(2, "", (Diagnostic(str(exc), _NO_SPAN),))
+        return CommandResult(2, "", (Diagnostic(str(exc)),))
     except UnicodeDecodeError as exc:
         message = f"{args.file}: not valid UTF-8 at byte {exc.start}: {exc.reason}"
-        return CommandResult(2, "", (Diagnostic(message, _NO_SPAN),))
+        return CommandResult(2, "", (Diagnostic(message),))
     try:
         doc = parse(text)
         return _COMMANDS[args.command](doc, args)
     except DslError as exc:
         return CommandResult(2, "", tuple(exc.diagnostics))
     except SjetError as exc:
-        return CommandResult(2, "", (Diagnostic(str(exc), _NO_SPAN),))
+        return CommandResult(2, "", (Diagnostic(str(exc)),))
     except Exception as exc:  # a bug in sjet, never a verdict on the input
         if os.environ.get("SJET_DEBUG", "0") == "1":
             import traceback
 
             traceback.print_exc()
         message = " ".join(f"internal error: {type(exc).__name__}: {exc}".split())
-        return CommandResult(EXIT_INTERNAL, "", (Diagnostic(message, _NO_SPAN),))
+        return CommandResult(EXIT_INTERNAL, "", (Diagnostic(message),))
 
 
 def _colour_enabled() -> bool:

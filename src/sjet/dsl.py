@@ -65,18 +65,23 @@ class SourceSpan(NamedTuple):
 
 
 class Diagnostic(NamedTuple):
+    """A message and where in the source it applies; ``span`` is None, and so
+    are ``line`` and ``column``, for an error that has no place in the file."""
+
     message: str
-    span: SourceSpan
+    span: SourceSpan | None = None
 
     @property
-    def line(self) -> int:
-        return self.span.line
+    def line(self) -> int | None:
+        return None if self.span is None else self.span.line
 
     @property
-    def column(self) -> int:
-        return self.span.column
+    def column(self) -> int | None:
+        return None if self.span is None else self.span.column
 
     def __str__(self):
+        if self.span is None:
+            return self.message
         return f"{self.line}:{self.column}: {self.message}"
 
 

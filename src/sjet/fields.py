@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import Mapping, NamedTuple
 
 from .errors import AlgebraError, DomainError, ParityError
-from .geometry import Chart, foreign_names
+from .geometry import Chart, foreign_names, values_on
 from .grassmann import (
     EVEN,
     Generator,
@@ -30,7 +30,6 @@ from .grassmann import (
     Parity,
     Scalar,
     SuperPolynomial,
-    _as_polynomial,
     _mul_into,
     _settled,
     partial,
@@ -58,33 +57,11 @@ class VectorField:
         parity: Parity,
         values: Mapping[Generator, SuperPolynomial | Scalar],
     ):
-        out: dict[Generator, SuperPolynomial] = {}
-        for g, value in values.items():
-            if g not in chart:
-                raise AlgebraError(
-                    f"'{g.name}' is not a coordinate of chart '{chart.name}'", g.name
-                )
-        for g in chart.coordinates:
-            p = _as_polynomial(values.get(g, SuperPolynomial.zero()))
-            if p is NotImplemented:
-                raise TypeError("field values must be polynomials")
-            names = foreign_names(p, chart)
-            if names:
-                raise AlgebraError(
-                    f"value on '{g.name}' uses generators outside "
-                    f"'{chart.name}': {names}",
-                    g.name,
-                )
-            if not p.is_homogeneous(parity + g.parity):
-                raise ParityError(
-                    f"parity violation: value on '{g.name}' must be homogeneous "
-                    f"of parity {parity + g.parity}",
-                    g.name,
-                )
-            out[g] = p
         self.chart = chart
         self.parity = parity
-        self.values = out
+        self.values = values_on(
+            chart, values, parity, allowed=chart, default=SuperPolynomial.zero()
+        )
 
     @classmethod
     def _trusted(cls, chart, parity, values) -> "VectorField":

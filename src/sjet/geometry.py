@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import (
+    AlgebraError,
     ComparisonError,
     CompositionError,
     CoverageError,
@@ -24,6 +25,7 @@ from .errors import (
 from .grassmann import (
     EVEN,
     Generator,
+    Parity,
     Scalar,
     SuperPolynomial,
     TimeSeries,
@@ -111,6 +113,61 @@ def foreign_names(p: SuperPolynomial, allowed) -> str:
     return ", ".join(sorted(g.name for g in p.generators() if g not in allowed))
 
 
+def values_on(
+    chart: Chart,
+    values: Mapping,
+    offset: Parity = EVEN,
+    allowed=None,
+    default=None,
+    split=None,
+) -> dict:
+    """The value on every coordinate of ``chart``, each checked once.
+
+    This is the one check of ``Morphism``, ``SPoint``, ``SCurve``, ``Jet``
+    and ``VectorField``. A key that is not a coordinate of the chart is an
+    ``AlgebraError``; a coordinate with no value takes ``default``, or is a
+    ``CoverageError`` when there is none. A value is a polynomial or a
+    scalar, or, with ``split``, a series or jet entry that ``split`` turns
+    into its polynomials and that is kept as given. Each polynomial must be
+    homogeneous of parity ``offset`` plus the coordinate's (``ParityError``)
+    and, when ``allowed`` is given, use only its generators
+    (``AlgebraError``). Every error names the coordinate in ``subject``.
+    """
+    for g in values:
+        if g not in chart:
+            raise AlgebraError(
+                f"'{g.name}' is not a coordinate of chart '{chart.name}'", g.name
+            )
+    out = {}
+    for g in chart.coordinates:
+        value = values.get(g, default)
+        if value is None:
+            raise CoverageError(
+                f"the map assigns nothing to coordinate '{g.name}'", g.name
+            )
+        if split is None:
+            value = _as_polynomial(value)
+            if value is NotImplemented:
+                raise TypeError(f"the value on '{g.name}' must be a polynomial")
+        parity = offset ^ g.parity  # the sum of two parities
+        for p in (value,) if split is None else split(value):
+            if not p.is_homogeneous(parity):
+                raise ParityError(
+                    f"parity violation: value on '{g.name}' must be homogeneous "
+                    f"of parity {Parity(parity)}",
+                    g.name,
+                )
+            names = "" if allowed is None else foreign_names(p, allowed)
+            if names:
+                raise AlgebraError(
+                    f"value on '{g.name}' uses generators outside "
+                    f"'{allowed.name}': {names}",
+                    g.name,
+                )
+        out[g] = value
+    return out
+
+
 def _check_disjoint(chart: Chart, params: ParameterAlgebra):
     shared = {g.name for g in chart.coordinates} & {
         g.name for g in params.generators
@@ -140,39 +197,13 @@ class Morphism:
         target: Chart,
         assignment: Mapping[Generator, SuperPolynomial | Scalar],
     ):
-        values: dict[Generator, SuperPolynomial] = {}
-        for y in target.coordinates:
-            if y not in assignment:
-                raise CoverageError(
-                    f"morphism assigns nothing to target coordinate '{y.name}'",
-                    y.name,
-                )
-            p = _as_polynomial(assignment[y])
-            if p is NotImplemented:
-                raise TypeError("morphism assignments must be polynomials")
-            if not p.is_homogeneous(y.parity):
-                raise ParityError(
-                    f"parity violation: '{y.name}' is {y.parity} but its "
-                    f"pullback is not",
-                    y.name,
-                )
-            values[y] = p
         self.source = source
         self.target = target
-        self.assignment = values
+        self.assignment = values_on(target, assignment)
 
     @classmethod
     def identity(cls, chart: Chart) -> "Morphism":
         return cls(chart, chart, {g: poly(g) for g in chart.coordinates})
-
-    def pullback(self, f: SuperPolynomial) -> SuperPolynomial:
-        """Pull a polynomial over the target back to the source."""
-        for g in f.generators():
-            if g not in self.assignment:
-                raise CoverageError(
-                    f"'{g.name}' is not a coordinate of chart '{self.target.name}'"
-                )
-        return substitute(f, self.assignment)
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):
@@ -220,31 +251,9 @@ class SPoint:
         values: Mapping[Generator, SuperPolynomial | Scalar],
     ):
         _check_disjoint(chart, params)
-        out: dict[Generator, SuperPolynomial] = {}
-        for g in chart.coordinates:
-            if g not in values:
-                raise CoverageError(
-                    f"point assigns nothing to coordinate '{g.name}'", g.name
-                )
-            p = _as_polynomial(values[g])
-            if p is NotImplemented:
-                raise TypeError("point values must be polynomials")
-            if not p.is_homogeneous(g.parity):
-                raise ParityError(
-                    f"value of '{g.name}' must be homogeneous of parity {g.parity}",
-                    g.name,
-                )
-            names = foreign_names(p, params)
-            if names:
-                raise DeclarationError(
-                    f"value of '{g.name}' uses generators outside '{params.name}': "
-                    f"{names}",
-                    g.name,
-                )
-            out[g] = p
         self.chart = chart
         self.params = params
-        self.values = out
+        self.values = values_on(chart, values, allowed=params)
 
     def __eq__(self, other):
         if not isinstance(other, SPoint):
@@ -274,33 +283,14 @@ class SCurve:
         if order < 0:
             raise OrderError(f"curve order must be nonnegative, got {order}")
         _check_disjoint(chart, params)
-        out: dict[Generator, TimeSeries] = {}
-        for g in chart.coordinates:
-            if g not in components:
-                raise CoverageError(
-                    f"curve assigns nothing to coordinate '{g.name}'", g.name
-                )
-            series = components[g]
+        split = TimeSeries.coefficients.fget
+        out = values_on(chart, components, allowed=params, split=split)
+        for g, series in out.items():
             if series.order != order:
                 raise OrderError(
                     f"component '{g.name}' has order {series.order}, expected {order}",
                     g.name,
                 )
-            for r, c in enumerate(series.coefficients):
-                if not c.is_homogeneous(g.parity):
-                    raise ParityError(
-                        f"parity violation: coefficient {r} of '{g.name}' must "
-                        f"be homogeneous of parity {g.parity}",
-                        g.name,
-                    )
-                names = foreign_names(c, params)
-                if names:
-                    raise DeclarationError(
-                        f"component '{g.name}' uses generators outside "
-                        f"'{params.name}': {names}",
-                        g.name,
-                    )
-            out[g] = series
         self.chart = chart
         self.params = params
         self.order = order
@@ -337,17 +327,15 @@ class Jet:
         order: int,
         coefficients: Mapping[Generator, tuple[SuperPolynomial, ...]],
     ):
-        out: dict[Generator, tuple[SuperPolynomial, ...]] = {}
-        for g in chart.coordinates:
-            if g not in coefficients:
-                raise CoverageError(f"jet assigns nothing to coordinate '{g.name}'")
-            entry = tuple(coefficients[g])
+        entries = {g: tuple(entry) for g, entry in coefficients.items()}
+        out = values_on(chart, entries, split=tuple)
+        for g, entry in out.items():
             if len(entry) != order + 1:
                 raise OrderError(
                     f"jet entry for '{g.name}' has {len(entry)} coefficients, "
-                    f"expected {order + 1}"
+                    f"expected {order + 1}",
+                    g.name,
                 )
-            out[g] = entry
         self.chart = chart
         self.order = order
         self.coefficients = out
@@ -403,11 +391,6 @@ def reparameterise(
     params: ParameterAlgebra,
 ) -> SCurve:
     """Substitute new parameter values into every series coefficient."""
-    for g, value in mapping.items():
-        if not value.is_homogeneous(g.parity):
-            raise ParityError(
-                f"replacement for '{g.name}' must be homogeneous of parity {g.parity}"
-            )
     components = {}
     for g, series in curve.components.items():
         components[g] = TimeSeries(
@@ -418,9 +401,4 @@ def reparameterise(
 
 def evaluate_function(f: SuperPolynomial, point: SPoint) -> SuperPolynomial:
     """Evaluate a chart function at a parameterised point."""
-    for g in f.generators():
-        if g not in point.chart:
-            raise CoverageError(
-                f"'{g.name}' is not a coordinate of chart '{point.chart.name}'"
-            )
     return substitute(f, point.values)

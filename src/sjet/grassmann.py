@@ -142,10 +142,6 @@ class Monomial(_Frozen):
         return sum(e for _, e in self.even)
 
     @property
-    def degree(self) -> int:
-        return self.even_degree + len(self.odd)
-
-    @property
     def weight(self) -> int:
         w = sum(g.weight * e for g, e in self.even)
         return w + sum(g.weight for g in self.odd)
@@ -580,32 +576,50 @@ def partial(f: SuperPolynomial, v: Generator) -> SuperPolynomial:
     return _settled(data)
 
 
-def _evaluate(f: SuperPolynomial, image, one):
-    """The value of f with every generator g replaced by ``image(g)``.
+def _evaluate(f: SuperPolynomial, images: Mapping, one):
+    """The value of f with every generator g replaced by ``images[g]``.
 
     The images live in the ring of ``one``, its unit: ``SuperPolynomial`` for
-    substitution, ``TimeSeries`` for composition with series. Factors are
-    multiplied in canonical monomial order, powers of each even image are
-    computed once, and each term's last product is added straight into the
-    running sums.
+    substitution, ``TimeSeries`` for composition with series. Each image is
+    checked once, the first time f reads it: it must be there
+    (``CoverageError``) and be homogeneous of its generator's parity, every
+    coefficient of a series too (``ParityError``); images that f does not
+    read are not looked at. Factors are multiplied in canonical monomial
+    order, powers of each even image are computed once, and each term's last
+    product is added straight into the running sums.
     """
     series = isinstance(one, TimeSeries)
+    what = "series" if series else "assignment"
 
     def parts(x):
         return x._coeffs if series else (x,)
 
+    # powers[g]: the powers of g's checked image computed so far, from the 0th
     powers: dict[Generator, list] = {}
+
+    def read(g: Generator) -> list:
+        try:
+            value = images[g]
+        except KeyError:
+            message = f"no {what} for generator '{g.name}'"
+            raise CoverageError(message, g.name) from None
+        if not all(p.is_homogeneous(g.parity) for p in parts(value)):
+            raise ParityError(
+                f"{what} for '{g.name}' must be homogeneous of parity {g.parity}",
+                g.name,
+            )
+        cache = powers[g] = [one, value]
+        return cache
+
     sums: list[dict] = [{} for _ in parts(one)]
     for mono, coeff in f.items():
         factors = []
         for g, e in mono.even:
-            cache = powers.get(g)
-            if cache is None:
-                cache = powers[g] = [one, image(g)]
+            cache = powers.get(g) or read(g)
             while len(cache) <= e:
                 cache.append(cache[-1] * cache[1])
             factors.append(cache[e])
-        factors.extend(image(g) for g in mono.odd)
+        factors.extend((powers.get(g) or read(g))[1] for g in mono.odd)
         *head, last = factors or (one,)
         term = reduce(operator.mul, head) if head else one
         _mul_into(sums, parts(term), parts(last), coeff)
@@ -623,22 +637,7 @@ def substitute(
     parity. Factors are multiplied in canonical monomial order, so the result
     is independent of how f was originally written down.
     """
-    checked: set[Generator] = set()
-
-    def image(g: Generator) -> SuperPolynomial:
-        try:
-            value = assignment[g]
-        except KeyError:
-            raise CoverageError(f"no assignment for generator '{g.name}'") from None
-        if g not in checked:
-            if not value.is_homogeneous(g.parity):
-                raise ParityError(
-                    f"assignment for '{g.name}' must be homogeneous of parity {g.parity}"
-                )
-            checked.add(g)
-        return value
-
-    return _evaluate(f, image, SuperPolynomial.one())
+    return _evaluate(f, assignment, SuperPolynomial.one())
 
 
 class TimeSeries:
@@ -675,10 +674,6 @@ class TimeSeries:
         out = object.__new__(cls)
         out._coeffs = tuple(coefficients)
         return out
-
-    @classmethod
-    def zero(cls, order: int) -> "TimeSeries":
-        return cls._trusted([SuperPolynomial.zero()] * (order + 1))
 
     @classmethod
     def constant(cls, value: SuperPolynomial | Scalar, order: int) -> "TimeSeries":
@@ -810,28 +805,12 @@ def series_compose(
 ) -> TimeSeries:
     """Substitute truncated series for the generators of f.
 
-    All series must share one truncation order and each coefficient must be
-    homogeneous of its generator's parity, so the composite is again a valid
-    series of the same order.
+    All series must share one truncation order, and each coefficient of a
+    series that f reads must be homogeneous of its generator's parity, so the
+    composite is again a valid series of the same order.
     """
     orders = {s.order for s in series.values()}
     if len(orders) > 1:
         raise OrderError(f"series orders disagree: {sorted(orders)}")
-    if orders:
-        k = orders.pop()
-    else:
-        k = 0
-    for g, s in series.items():
-        for c in s.coefficients:
-            if not c.is_homogeneous(g.parity):
-                raise ParityError(
-                    f"series for '{g.name}' must have coefficients of parity {g.parity}"
-                )
-
-    def image(g: Generator) -> TimeSeries:
-        try:
-            return series[g]
-        except KeyError:
-            raise CoverageError(f"no series for generator '{g.name}'") from None
-
-    return _evaluate(f, image, TimeSeries.constant(1, k))
+    k = orders.pop() if orders else 0
+    return _evaluate(f, series, TimeSeries.constant(1, k))

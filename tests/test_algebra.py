@@ -221,6 +221,15 @@ class TestSubstitution:
         with pytest.raises(ParityError):
             substitute(poly(X), {X: poly(TH1)})
 
+    def test_series_coefficient_parity_is_checked_where_read(self):
+        mixed = TimeSeries([0, poly(X) + poly(TH1)])
+        with pytest.raises(ParityError, match="'th2'") as exc:
+            series_compose(poly(X) * poly(TH2), {X: TimeSeries([1, 0]), TH2: mixed})
+        assert exc.value.subject == "th2"
+        # an image that f does not read is not checked
+        got = series_compose(poly(X), {X: TimeSeries([1, 2]), TH2: mixed})
+        assert got == TimeSeries([1, 2])
+
     def test_missing_generator_is_rejected(self):
         with pytest.raises(CoverageError):
             substitute(poly(X) * poly(TH1), {X: poly(X)})

@@ -224,7 +224,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: 0:0: internal error: ZeroDivisionError: a bug over two lines"
+            "error: internal error: ZeroDivisionError: a bug over two lines"
         ]
 
     def test_internal_error_traceback_on_request(
@@ -238,7 +238,7 @@ class TestExitCodes:
         assert err.startswith("Traceback (most recent call last):")
         assert "in boom" in err
         assert err.endswith(
-            "error: 0:0: internal error: ZeroDivisionError: a bug over two lines\n"
+            "error: internal error: ZeroDivisionError: a bug over two lines\n"
         )
 
 
@@ -271,6 +271,7 @@ class TestUsageErrors:
         assert result.payload == ""
         (diagnostic,) = result.diagnostics
         assert diagnostic.message.startswith("usage:")
+        assert diagnostic.span is None
         assert capsys.readouterr() == ("", "")
 
     def test_ambiguous_prefix(self, doc_file, monkeypatch):
@@ -294,7 +295,7 @@ class TestUsageErrors:
         )
         assert done.returncode == 2
         assert done.stdout == ""
-        assert done.stderr.startswith("error: 0:0: usage: sjet prolong:")
+        assert done.stderr.startswith("error: usage: sjet prolong:")
         assert "--morphism is required" in done.stderr
 
     def test_negative_order_is_a_value(self, doc_file):

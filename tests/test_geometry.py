@@ -3,6 +3,7 @@
 import pytest
 
 from sjet import (
+    AlgebraError,
     Chart,
     ComparisonError,
     CoverageError,
@@ -95,6 +96,11 @@ class TestMorphisms:
         with pytest.raises(CoverageError):
             Morphism(M, N, {Y: poly(X)})
 
+    def test_unknown_target_coordinate_is_rejected(self):
+        with pytest.raises(AlgebraError, match="not a coordinate of chart 'N'") as exc:
+            Morphism(M, N, {Y: poly(X), XI: poly(TH), X: poly(X)})
+        assert exc.value.subject == X.name
+
     def test_validation_flags_parity_violations(self):
         good = Morphism(M, N, {Y: poly(X) + const(2), XI: poly(TH)})
         assert good.assignment[XI] == poly(TH)
@@ -174,6 +180,13 @@ class TestPointsAndEvaluation:
         with pytest.raises(ParityError):
             SPoint(M, params, {X: poly(e), TH: poly(e)})
 
+    def test_point_unknown_coordinate_is_rejected(self):
+        e = Generator("xu", ODD)
+        params = ParameterAlgebra("P5", (e,))
+        with pytest.raises(AlgebraError) as exc:
+            SPoint(M, params, {X: const(0), TH: poly(e), Y: const(1)})
+        assert exc.value.subject == Y.name
+
 
 def _one_even_curve(series):
     s0 = Generator("cs0", EVEN)
@@ -239,6 +252,26 @@ class TestJets:
         gamma = SCurve(chart, params, 1, {jx: TimeSeries([0, 1])})
         with pytest.raises(OrderError):
             jet_of_curve(gamma, 2)
+
+    def test_unknown_coordinate_is_rejected(self):
+        params = ParameterAlgebra("JP5", ())
+        chart = Chart("J5", (Generator("jx5", EVEN),))
+        jx = chart.coordinate("jx5")
+        with pytest.raises(AlgebraError) as exc:
+            SCurve(chart, params, 0, {jx: TimeSeries([1]), X: TimeSeries([1])})
+        assert exc.value.subject == X.name
+        with pytest.raises(AlgebraError) as exc:
+            Jet(chart, 0, {jx: (const(1),), X: (const(1),)})
+        assert exc.value.subject == X.name
+
+    def test_jet_entry_parity_is_checked(self):
+        chart = Chart("J6", (Generator("jx6", EVEN), Generator("jth6", ODD)))
+        jx, jth = chart.coordinates
+        good = Jet(chart, 1, {jx: (const(1), const(0)), jth: (const(0), poly(jth))})
+        assert good.coefficient(jth, 1) == poly(jth)
+        with pytest.raises(ParityError, match="parity violation") as exc:
+            Jet(chart, 1, {jx: (const(1), poly(jth)), jth: (const(0), poly(jth))})
+        assert exc.value.subject == "jx6"
 
 
 class TestContact:

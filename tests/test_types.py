@@ -99,6 +99,9 @@ class TestValueRecords:
     def test_methods_and_properties_survive(self):
         later = SourceSpan(5, 9, 2, 1, 2, 5)
         assert str(Diagnostic("boom", later)) == "2:1: boom"
+        nowhere = Diagnostic("boom")
+        assert (nowhere.span, nowhere.line, nowhere.column) == (None, None, None)
+        assert str(nowhere) == "boom"
         assert RelationRow(2, "J", "J", "0", True).label == "[J,J] = 0"
         assert not WeightCheck(GX, True, False).ok
         assert not WeightReport((WeightCheck(GX, True, False),)).valid

@@ -88,13 +88,28 @@ MUTANTS = (
     Mutant(
         "morphism-parity-unchecked",
         "sjet/geometry.py",
-        "if not p.is_homogeneous(y.parity):",
+        "if not p.is_homogeneous(parity):",
         "if False:",
         (
             "tests/test_geometry.py",
             "tests/test_prolongation.py",
             "tests/test_dsl.py",
+            "tests/test_fields.py",
         ),
+    ),
+    Mutant(
+        "unknown-coordinate-accepted",
+        "sjet/geometry.py",
+        "if g not in chart:",
+        "if False:",
+        ("tests/test_geometry.py", "tests/test_fields.py"),
+    ),
+    Mutant(
+        "image-parity-unchecked",
+        "sjet/grassmann.py",
+        "if not all(p.is_homogeneous(g.parity) for p in parts(value)):",
+        "if False:",
+        ("tests/test_algebra.py", "tests/test_geometry.py"),
     ),
     Mutant(
         "dsl-ignores-subject",
