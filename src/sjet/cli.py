@@ -5,7 +5,8 @@ payload to stdout. Exit codes: 0 on success, 1 only when a verification
 suite reports a failed identity, 2 for any input or usage error, 3
 (EXIT_INTERNAL) for an internal error, that is a bug in sjet; it prints one
 line, and its traceback too when SJET_DEBUG=1. Diagnostics go to stderr; set
-SJET_COLOR=1 to colour them.
+SJET_COLOR=1 to colour them. Run as a program, a command whose stdout was
+closed before its output was written exits with 141 (EXIT_BROKEN_PIPE).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .prolongation import (
 )
 
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 class CommandResult(NamedTuple):
@@ -435,5 +437,19 @@ def main(argv=None) -> int:
     return result.exit_code
 
 
+def entry() -> None:
+    """The console entry point: ``main()``, then an exit as soon as its output
+    is flushed, skipping the interpreter's teardown, which a one-shot command
+    does not need. A reader that closed stdout early gets nothing more, and
+    the exit status is EXIT_BROKEN_PIPE."""
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        os._exit(EXIT_BROKEN_PIPE)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -18,13 +18,13 @@ coefficients never mention the time variable itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from enum import IntEnum
-from functools import reduce
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
     CoverageError,
@@ -102,33 +102,25 @@ class Generator(_Frozen):
 TIME = Generator("t", EVEN)
 
 
-class Monomial(_Frozen):
-    """A canonical monomial: an immutable value, equal and hashed by content.
+class Monomial(tuple):
+    """A canonical monomial: the immutable pair ``(even, odd)``.
 
     ``even`` holds (generator, exponent) pairs sorted by declaration index
     with exponents >= 1; ``odd`` holds distinct odd generators in strictly
-    increasing declaration order. The hash is computed once, at construction,
-    because every arithmetic step looks monomials up in term dicts.
+    increasing declaration order. Equality and hash are the tuple's, computed
+    in C, because every arithmetic step looks monomials up in term dicts.
     """
 
-    __slots__ = ("even", "odd", "_hash")
+    __slots__ = ()
 
-    def __init__(self, even: tuple = (), odd: tuple = ()):
-        _set_even(self, even)
-        _set_odd(self, odd)
-        _set_hash(self, hash((even, odd)))
+    def __new__(cls, even: tuple = (), odd: tuple = ()):
+        return tuple.__new__(cls, (even, odd))
 
-    def __hash__(self):
-        return self._hash
+    def __getnewargs__(self):
+        return tuple(self)
 
-    def __eq__(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.even == other.even
-            and self.odd == other.odd
-        )
+    even = property(operator.itemgetter(0))
+    odd = property(operator.itemgetter(1))
 
     def __repr__(self):
         return f"Monomial(even={self.even!r}, odd={self.odd!r})"
@@ -156,10 +148,9 @@ class Monomial(_Frozen):
         yield from self.odd
 
 
-# Slot setters that bypass the refusing __setattr__; only __init__ uses them.
-_set_even = Monomial.even.__set__
-_set_odd = Monomial.odd.__set__
-_set_hash = Monomial._hash.__set__
+# Monomial(even, odd) as _new_monomial((even, odd)), without a Python-level
+# call: the kernel's inner loops build every product through it.
+_new_monomial = functools.partial(tuple.__new__, Monomial)
 
 _EMPTY_MONOMIAL = Monomial()
 
@@ -277,12 +268,16 @@ def _mul_into(sums: list[dict], a, b, scale: Scalar = 1) -> None:
                 continue
             data = sums[i + j]
             get = data.get
-            for ma, ca in terms_a:
-                for mb, cb in terms_b:
-                    sign, odd = _merge_odd(ma.odd, mb.odd)
-                    if not sign:
-                        continue
-                    mono = Monomial(_merge_even(ma.even, mb.even), odd)
+            for (ea, oa), ca in terms_a:
+                for (eb, ob), cb in terms_b:
+                    if oa and ob:
+                        sign, odd = _merge_odd(oa, ob)
+                        if not sign:
+                            continue
+                    else:
+                        sign, odd = 1, oa or ob
+                    even = _merge_even(ea, eb) if ea and eb else ea or eb
+                    mono = _new_monomial((even, odd))
                     if sign > 0:
                         data[mono] = get(mono, 0) + ca * cb
                     else:
@@ -347,15 +342,6 @@ class SuperPolynomial:
         for mono in self._terms:
             out.update(mono.generators())
         return out
-
-    def homogeneous_parity(self):
-        """The common parity of all terms, or None if mixed. Zero is even."""
-        parities = {m.parity for m in self._terms}
-        if not parities:
-            return EVEN
-        if len(parities) > 1:
-            return None
-        return parities.pop()
 
     def is_homogeneous(self, parity: Parity) -> bool:
         return all(len(m.odd) % 2 == parity for m in self._terms)
@@ -576,6 +562,40 @@ def partial(f: SuperPolynomial, v: Generator) -> SuperPolynomial:
     return _settled(data)
 
 
+def differential(
+    f: SuperPolynomial, d: Callable[[Generator], Generator]
+) -> SuperPolynomial:
+    """The sum over the generators x of f of d(x) times the left partial of f
+    in x, d(x) on the left, built in one walk over the terms of f."""
+    sums: dict[Monomial, Scalar] = {}
+    get = sums.get
+
+    def add(dx: Generator, even: tuple, odd: tuple, c: Scalar) -> None:
+        # c * dx * (even, odd), dx moved into canonical place
+        if dx.parity is ODD:
+            sign, odd = _merge_odd((dx,), odd)
+            if not sign:
+                return
+            if sign < 0:
+                c = -c
+        else:
+            even = _merge_even(((dx, 1),), even)
+        mono = _new_monomial((even, odd))
+        sums[mono] = get(mono, 0) + c
+
+    for (even, odd), c in f._terms.items():
+        for pos, (x, e) in enumerate(even):
+            if e == 1:
+                rest = even[:pos] + even[pos + 1 :]
+            else:
+                rest = even[:pos] + ((x, e - 1),) + even[pos + 1 :]
+            add(d(x), rest, odd, c * e)
+        for pos, x in enumerate(odd):
+            # moving x to the front passes pos odd factors
+            add(d(x), even, odd[:pos] + odd[pos + 1 :], -c if pos % 2 else c)
+    return _settled(sums)
+
+
 def _evaluate(f: SuperPolynomial, images: Mapping, one):
     """The value of f with every generator g replaced by ``images[g]``.
 
@@ -587,6 +607,12 @@ def _evaluate(f: SuperPolynomial, images: Mapping, one):
     read are not looked at. Factors are multiplied in canonical monomial
     order, powers of each even image are computed once, and each term's last
     product is added straight into the running sums.
+
+    The sums are integers. f is scaled by D, the lcm of its denominators, and
+    each image g, when it is read, by d_g, the lcm of its own. With B the
+    product of d_g ** (the highest exponent of g in f), the term c * m adds
+    c * D * B / prod(d_g ** e) times the product of its scaled images, and
+    each sum is divided by D * B once, at the end.
     """
     series = isinstance(one, TimeSeries)
     what = "series" if series else "assignment"
@@ -594,10 +620,12 @@ def _evaluate(f: SuperPolynomial, images: Mapping, one):
     def parts(x):
         return x._coeffs if series else (x,)
 
-    # powers[g]: the powers of g's checked image computed so far, from the 0th
+    # powers[g]: the powers of g's scaled image computed so far, from the 0th;
+    # scales[g]: d_g, the number g's image was scaled by
     powers: dict[Generator, list] = {}
+    scales: dict[Generator, int] = {}
 
-    def read(g: Generator) -> list:
+    def read(g: Generator) -> None:
         try:
             value = images[g]
         except KeyError:
@@ -608,21 +636,46 @@ def _evaluate(f: SuperPolynomial, images: Mapping, one):
                 f"{what} for '{g.name}' must be homogeneous of parity {g.parity}",
                 g.name,
             )
-        cache = powers[g] = [one, value]
-        return cache
+        d = math.lcm(*(c.denominator for p in parts(value) for c in p._terms.values()))
+        powers[g] = [one, value * d if d > 1 else value]
+        scales[g] = d
+
+    # read the images in the order f first uses them; top[g]: g's highest exponent
+    top: dict[Generator, int] = {}
+    for even, odd in f._terms:
+        for g, e in even:
+            if g not in powers:
+                read(g)
+            if e > top.get(g, 0):
+                top[g] = e
+        for g in odd:
+            if g not in powers:
+                read(g)
+            top[g] = 1
+    denominator = math.lcm(*(c.denominator for c in f._terms.values()))
+    common = math.prod(scales[g] ** e for g, e in top.items())
 
     sums: list[dict] = [{} for _ in parts(one)]
-    for mono, coeff in f.items():
+    for (even, odd), coeff in f._terms.items():
+        weight = coeff.numerator * (denominator // coeff.denominator) * common
         factors = []
-        for g, e in mono.even:
-            cache = powers.get(g) or read(g)
+        for g, e in even:
+            cache = powers[g]
             while len(cache) <= e:
                 cache.append(cache[-1] * cache[1])
             factors.append(cache[e])
-        factors.extend((powers.get(g) or read(g))[1] for g in mono.odd)
+            weight //= scales[g] ** e
+        for g in odd:
+            factors.append(powers[g][1])
+            weight //= scales[g]
         *head, last = factors or (one,)
-        term = reduce(operator.mul, head) if head else one
-        _mul_into(sums, parts(term), parts(last), coeff)
+        term = functools.reduce(operator.mul, head) if head else one
+        _mul_into(sums, parts(term), parts(last), weight)
+    divisor = denominator * common
+    if divisor > 1:
+        for d in sums:
+            for m, v in d.items():
+                d[m] = Fraction(v, divisor) if v % divisor else v // divisor
     values = [_settled(d) for d in sums]
     return TimeSeries._trusted(values) if series else values[0]
 
@@ -780,10 +833,13 @@ class TimeSeries:
         k = self.order
         coeffs = []
         for r in range(k + 1):
-            acc = SuperPolynomial.zero()
+            sums: dict[Monomial, Scalar] = {}
+            get = sums.get
             for s in range(r, k + 1):
-                acc = acc + self._coeffs[s] * (math.comb(s, r) * t0 ** (s - r))
-            coeffs.append(acc)
+                scale = math.comb(s, r) * t0 ** (s - r)
+                for m, c in self._coeffs[s]._terms.items():
+                    sums[m] = get(m, 0) + c * scale
+            coeffs.append(_settled(sums))
         return TimeSeries._trusted(coeffs)
 
     def truncate(self, order: int) -> "TimeSeries":

@@ -80,11 +80,13 @@ def format_polynomial(p: SuperPolynomial) -> str:
 
 def format_series(series: TimeSeries) -> str:
     """Render a series as a canonical polynomial in the time variable."""
-    total = SuperPolynomial.zero()
-    t = SuperPolynomial.generator(TIME)
+    # coefficients never mention TIME, which is declared first, so t^r leads
+    # the even part of each of their monomials and no two terms collide
+    terms = {}
     for r, c in enumerate(series.coefficients):
-        total = total + c * t**r
-    return format_polynomial(total)
+        for m, coeff in c.items():
+            terms[Monomial(((TIME, r),) + m.even if r else m.even, m.odd)] = coeff
+    return format_polynomial(SuperPolynomial(terms))
 
 
 def _coordinate_lines(coordinates, values, render, label: str = "") -> str:

@@ -30,7 +30,8 @@ from .grassmann import (
     SuperPolynomial,
     TimeSeries,
     _as_polynomial,
-    partial,
+    differential,
+    partial,  # unused here; bench/spans.py traces prolongation.partial
     poly,
     series_compose,
     substitute,
@@ -179,13 +180,7 @@ def antitangent_morphism(phi: Morphism) -> Morphism:
     for y in phi.target.coordinates:
         f = phi.assignment[y]
         assignment[y] = f
-        total = SuperPolynomial.zero()
-        for x in phi.source.coordinates:
-            df = partial(f, x)
-            if df.is_zero():
-                continue
-            total = total + poly(source.differential_of(x)) * df
-        assignment[target.differential_of(y)] = total
+        assignment[target.differential_of(y)] = differential(f, source.differential_of)
     return Morphism(source, target, assignment)
 
 

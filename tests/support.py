@@ -3,7 +3,10 @@
 Everything here deliberately avoids the engine's own shortcuts: signs come
 from a literal bubble sort, series composition goes through plain polynomial
 arithmetic in the time variable with explicit factorials, and the order-2
-lift is spelled out as the classical first and second chain rules.
+lift is spelled out as the classical first and second chain rules. The
+evaluation and the parity-reversed lift that the engine replaced are kept as
+oracles too: term by term on rational coefficients, and as a sum over
+``partial``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from sjet import (
     ODD,
     ParameterAlgebra,
     SCurve,
+    SuperPolynomial,
     TIME,
     TimeSeries,
+    antitangent_chart,
     const,
     normalize,
     partial,
@@ -93,6 +98,41 @@ def oracle_series_compose(f, series):
         coeffs.append(Fraction(1, math.factorial(r)) * drop_time(current))
         current = partial(current, TIME)
     return TimeSeries(coeffs)
+
+
+def oracle_evaluate(f, images, one):
+    """f at ``images`` on rational coefficients, one term at a time.
+
+    ``one`` is the unit of the images' ring (a polynomial or a series). Each
+    term multiplies its factors in canonical order, an even power as repeated
+    factors, and is scaled by its coefficient before it joins the sum.
+    """
+    total = one * 0
+    for mono, coeff in f.items():
+        term = one
+        for g, e in mono.even:
+            for _ in range(e):
+                term = term * images[g]
+        for g in mono.odd:
+            term = term * images[g]
+        total = total + term * coeff
+    return total
+
+
+def oracle_antitangent_morphism(phi):
+    """The parity-reversed lift as sum(d.x * partial(f, x)), one partial and
+    one product per source coordinate."""
+    source = antitangent_chart(phi.source)
+    target = antitangent_chart(phi.target)
+    assignment = {}
+    for y in phi.target.coordinates:
+        f = phi.assignment[y]
+        assignment[y] = f
+        total = SuperPolynomial.zero()
+        for x in phi.source.coordinates:
+            total = total + poly(source.differential_of(x)) * partial(f, x)
+        assignment[target.differential_of(y)] = total
+    return Morphism(source, target, assignment)
 
 
 def oracle_prolong_k2(phi):

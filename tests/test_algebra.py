@@ -1,5 +1,6 @@
 """Canonical-form arithmetic, derivatives, substitution and series."""
 
+import copy
 import math
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from sjet import (
 )
 from support import (
     bubble_sign,
+    oracle_evaluate,
     oracle_series_compose,
     parity_part,
     rand_chart,
@@ -182,6 +184,16 @@ class TestPowers:
         assert (poly(X) * poly(TH1) * poly(TH2)) ** 2 == 0
         assert (poly(TH1) + poly(TH2)) ** 2 == 0
 
+    @pytest.mark.parametrize(
+        "nilpotent",
+        [poly(X) * poly(TH1) * poly(TH2), poly(TH1)],
+        ids=["even term with odd factors", "odd term"],
+    )
+    def test_a_nilpotent_term_enters_the_cube_once(self, nilpotent):
+        p = 1 + poly(X) + nilpotent
+        assert p**3 == _repeated_product(p, 3)
+        assert p**3 == (1 + poly(X)) ** 3 + 3 * (1 + poly(X)) ** 2 * nilpotent
+
     @pytest.mark.parametrize("exponent", [-1, 1.0, 2.5, Fraction(1, 2), "2", None])
     def test_bad_exponents_are_rejected(self, exponent):
         with pytest.raises(DomainError):
@@ -236,6 +248,64 @@ class TestSubstitution:
         y = Generator("y", EVEN)
         with pytest.raises(CoverageError, match="no series for generator 'y'"):
             series_compose(poly(X) * poly(y), {X: TimeSeries([0, 1])})
+
+
+def _rational_image(rng, gens, parity):
+    """A random image of the given parity over ``gens``, divided by 1 to 6."""
+    return rand_poly(rng, gens, parity=parity, max_terms=3) * Fraction(
+        1, rng.randint(1, 6)
+    )
+
+
+class TestIntegerNumerators:
+    """Evaluation on integer numerators against the term-by-term oracle."""
+
+    def test_rational_images_are_divided_out_once(self):
+        u = Generator("u_num", EVEN)
+        f = Fraction(3, 2) * poly(X) ** 2 * poly(TH1) + Fraction(1, 3) * poly(X) + 5
+        x_image = Fraction(1, 2) + Fraction(2, 3) * poly(u)
+        th_image = Fraction(1, 4) * poly(TH2) - Fraction(1, 5) * poly(u) * poly(TH3)
+        expected = (
+            Fraction(3, 2) * x_image * x_image * th_image
+            + Fraction(1, 3) * x_image
+            + 5
+        )
+        got = substitute(f, {X: x_image, TH1: th_image})
+        assert got == expected
+        _assert_stored_exactly(got)
+        series = {
+            X: TimeSeries([Fraction(1, 2), Fraction(2, 3) * poly(u), Fraction(1, 7)]),
+            TH1: TimeSeries([th_image, 0, Fraction(1, 3) * poly(TH2)]),
+        }
+        got = series_compose(f, series)
+        assert got == oracle_evaluate(f, series, TimeSeries.constant(1, 2))
+        assert got[0] == substitute(f, {X: const(Fraction(1, 2)), TH1: th_image})
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_substitute_matches_the_fraction_oracle(self, seed):
+        rng = seeded(seed)
+        f = rand_poly(rng, POOL, max_terms=4)
+        images = {h: _rational_image(rng, POOL2, h.parity) for h in POOL}
+        got = substitute(f, images)
+        assert got == oracle_evaluate(f, images, const(1))
+        _assert_stored_exactly(got)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_series_compose_matches_the_fraction_oracle(self, seed):
+        rng = seeded(seed)
+        order = rng.randint(0, 3)
+        pgens = rand_params(rng).generators
+        f = rand_poly(rng, POOL, max_terms=4)
+        series = {
+            h: rand_series(rng, pgens, order, h.parity) * Fraction(1, rng.randint(1, 6))
+            for h in POOL
+        }
+        got = series_compose(f, series)
+        assert got == oracle_evaluate(f, series, TimeSeries.constant(1, order))
+        for c in got.coefficients:
+            _assert_stored_exactly(c)
 
 
 class TestTimeSeries:
@@ -371,9 +441,11 @@ class TestAlgebraLaws:
             if p.is_zero():
                 continue
             odd_count = sum(1 for g in factors if g.parity == ODD)
-            assert p.homogeneous_parity() == (
-                ODD if odd_count % 2 else EVEN
-            )
+            parity = ODD if odd_count % 2 else EVEN
+            (mono,) = p.terms
+            assert mono.parity == parity
+            assert p.is_homogeneous(parity)
+            assert not p.is_homogeneous(parity + ODD)
 
 
 def _assert_stored_exactly(p):
@@ -412,6 +484,27 @@ class TestKernel:
     def test_product_matches_normalising_the_concatenated_factors(self, a, b):
         joined = [(ca * cb, fa + fb) for ca, fa in a for cb, fb in b]
         assert normalize(a) * normalize(b) == normalize(joined)
+
+    def test_monomials_are_read_only_pairs(self):
+        even, odd = ((HA, 2), (HB, 1)), (HP, HQ)
+        m = Monomial(even, odd)
+        assert m == Monomial(even=even, odd=odd) == (even, odd)
+        assert hash(m) == hash(Monomial(tuple(list(even)), tuple(list(odd))))
+        assert (m.even, m.odd) == tuple(m) == (even, odd)
+        assert Monomial() == Monomial((), ()) == ((), ())
+        assert repr(m) == f"Monomial(even={even!r}, odd={odd!r})"
+        twin = copy.copy(m)
+        assert type(twin) is Monomial and twin == m
+        for name in ("even", "odd"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, ())
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        with pytest.raises(AttributeError):
+            m.weight = 3
+        with pytest.raises(AttributeError):
+            m.anything = 0
+        assert (m.even, m.odd) == (even, odd)
 
     def test_monomials_are_values(self):
         direct = Monomial(((HA, 2),), (HP, HQ))

@@ -1,6 +1,7 @@
 """Command line driver: exit codes, formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -558,3 +559,104 @@ class TestOutputContract:
             text=True,
         )
         assert first.stdout == again.stdout
+
+
+LIFT = """\
+chart M (x: even, y: even, a: odd, b: odd);
+chart N (u: even, p: odd);
+morphism f : M -> N { u = x^3*y + x*a*b + y^2; p = x^2*a + y*b; }
+"""
+
+
+def _entry(argv, patch="", **kwargs):
+    """``sjet.cli.entry()`` in a child process, after the ``patch`` source."""
+    source = (
+        "import sys\nimport sjet.cli as cli\n"
+        f"{patch}\nsys.argv = ['sjet', *{list(argv)!r}]\ncli.entry()\n"
+    )
+    # stdout block-buffered, as by default, so that a lost flush shows
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-c", source], env=env, **kwargs)
+
+
+class TestExitPath:
+    """The console entry flushes its output, keeps the exit code, and skips
+    the interpreter's teardown; a closed stdout ends it with exit 141."""
+
+    @pytest.fixture
+    def lift_file(self, tmp_path):
+        path = tmp_path / "lift.sman"
+        path.write_text(LIFT, encoding="utf-8")
+        return str(path)
+
+    def test_a_large_payload_arrives_whole_in_a_pipe_and_a_file(
+        self, lift_file, tmp_path
+    ):
+        argv = ["prolong", lift_file, "--morphism", "f", "--order", "20"]
+        expected = (run(argv).payload + "\n").encode()
+        assert len(expected) > 64 * 1024
+        piped = _entry(argv, capture_output=True)
+        assert (piped.returncode, piped.stdout, piped.stderr) == (0, expected, b"")
+        out = tmp_path / "out.txt"
+        with open(out, "wb") as sink:
+            done = _entry(argv, stdout=sink, stderr=subprocess.PIPE)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert out.read_bytes() == expected
+
+    def test_each_exit_code_keeps_its_output_and_diagnostics(self, doc_file, bad_file):
+        ok = _entry(["check", doc_file], capture_output=True, text=True)
+        assert (ok.returncode, ok.stderr) == (0, "")
+        assert ok.stdout == run(["check", doc_file]).payload + "\n"
+
+        failing = (
+            "from sjet import Chart, EVEN, Generator\n"
+            "from sjet.fields import RelationReport, RelationRow\n"
+            "chart = Chart('FAKE', (Generator('fakex', EVEN),))\n"
+            "row = RelationRow(1, 'd', 'd', '0', False)\n"
+            "cli.verify_relations = lambda chart_, k: RelationReport(chart, 1, (row,))"
+        )
+        argv = ["verify", doc_file, "--suite", "relations", "--order", "1"]
+        verdict = _entry(argv, failing, capture_output=True, text=True)
+        assert (verdict.returncode, verdict.stderr) == (1, "")
+        assert "FAILED" in verdict.stdout
+
+        bad = _entry(["check", bad_file], capture_output=True, text=True)
+        assert (bad.returncode, bad.stdout) == (2, "")
+        assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
+
+        boom = (
+            "def boom(doc, args):\n"
+            "    raise ZeroDivisionError('a bug')\n"
+            "cli._COMMANDS['check'] = boom"
+        )
+        bug = _entry(["check", doc_file], boom, capture_output=True, text=True)
+        assert (bug.returncode, bug.stdout) == (3, "")
+        assert bug.stderr == "error: internal error: ZeroDivisionError: a bug\n"
+
+    @pytest.mark.parametrize("order", ["2", "20"])
+    def test_a_closed_pipe_is_exit_141_without_a_traceback(self, lift_file, order):
+        # order 2 fails at the final flush, order 20 already in print
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            argv = ["prolong", lift_file, "--morphism", "f", "--order", order]
+            done = _entry(argv, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert done.stderr == b""
+
+    def test_the_module_runs_the_entry(self, lift_file):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "sjet.cli", "prolong", lift_file,
+                 "--morphism", "f", "--order", "2"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert b"Traceback" not in done.stderr

@@ -4,7 +4,9 @@ import gc
 import tracemalloc
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from sjet import (
     Chart,
@@ -31,6 +33,7 @@ from sjet import (
     zero_section,
 )
 from support import (
+    oracle_antitangent_morphism,
     oracle_prolong_k2,
     rand_chart,
     rand_morphism,
@@ -236,6 +239,36 @@ class TestParityReversedLifts:
         assert lifted.assignment[dxi] == poly(dx) * poly(oth) + poly(
             ox
         ) * poly(dth)
+
+    def test_odd_rich_lift_matches_the_sum_over_partials(self):
+        x, y = Generator("ox1", EVEN), Generator("oy1", EVEN)
+        a, b = Generator("oa1", ODD), Generator("ob1", ODD)
+        u, p = Generator("ou1", EVEN), Generator("op1", ODD)
+        src = Chart("OR1", (x, y, a, b))
+        tgt = Chart("OR2", (u, p))
+        u_image = poly(x) ** 3 * poly(y) + Fraction(1, 2) * poly(x) * poly(a) * poly(b)
+        p_image = poly(x) ** 2 * poly(a) - poly(y) * poly(b)
+        phi = Morphism(src, tgt, {u: u_image, p: p_image})
+        lifted = antitangent_morphism(phi)
+        assert lifted == oracle_antitangent_morphism(phi)
+        d = antitangent_chart(src).differential_of
+        dp = antitangent_chart(tgt).differential_of(p)
+        # d.x is odd and comes from the left, past the odd a
+        assert lifted.assignment[dp] == (
+            2 * poly(d(x)) * poly(x) * poly(a)
+            + poly(x) ** 2 * poly(d(a))
+            - poly(d(y)) * poly(b)
+            - poly(y) * poly(d(b))
+        )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_one_pass_lift_matches_the_sum_over_partials(self, seed):
+        rng = seeded(seed)
+        a = rand_chart(rng, max_even=3, max_odd=3)
+        b = rand_chart(rng)
+        phi = rand_morphism(rng, a, b, max_terms=4)
+        assert antitangent_morphism(phi) == oracle_antitangent_morphism(phi)
 
     def test_functoriality_of_the_parity_reversed_lift(self):
         rng = seeded(43)

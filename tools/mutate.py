@@ -112,6 +112,27 @@ MUTANTS = (
         ("tests/test_algebra.py", "tests/test_geometry.py"),
     ),
     Mutant(
+        "evaluate-common-denominator-dropped",
+        "sjet/grassmann.py",
+        "divisor = denominator * common",
+        "divisor = denominator",
+        ("tests/test_algebra.py",),
+    ),
+    Mutant(
+        "antitangent-left-sign-dropped",
+        "sjet/grassmann.py",
+        "if sign < 0:\n                c = -c",
+        "if False:\n                c = -c",
+        ("tests/test_prolongation.py",),
+    ),
+    Mutant(
+        "exit-without-flush",
+        "sjet/cli.py",
+        "sys.stdout.flush()",
+        "pass",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
         "dsl-ignores-subject",
         "sjet/dsl.py",
         "self.fail(str(exc), where.get(exc.subject, whole))",
