@@ -24,7 +24,7 @@ import math
 import operator
 from enum import IntEnum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     CoverageError,
@@ -533,42 +533,52 @@ def normalize(
     return _settled(data)
 
 
+def _even_partial(even: tuple, pos: int, c: Scalar) -> tuple[tuple, Scalar]:
+    """The left partial of the term c * even in its factor at pos: the
+    remaining even part and coefficient."""
+    x, e = even[pos]
+    if e == 1:
+        return even[:pos] + even[pos + 1 :], c * e
+    return even[:pos] + ((x, e - 1),) + even[pos + 1 :], c * e
+
+
+def _odd_partial(odd: tuple, pos: int, c: Scalar) -> tuple[tuple, Scalar]:
+    """The left partial of the term c * odd in its factor at pos: the
+    remaining odd part and coefficient."""
+    # moving the factor to the front passes pos odd factors
+    return odd[:pos] + odd[pos + 1 :], -c if pos % 2 else c
+
+
 def partial(f: SuperPolynomial, v: Generator) -> SuperPolynomial:
     """Left partial derivative of f with respect to the generator v."""
     # distinct monomials have distinct derivatives, so nothing accumulates
     data: dict[Monomial, Scalar] = {}
     if v.parity is EVEN:
-        for mono, coeff in f.items():
-            for pos, (g, e) in enumerate(mono.even):
+        for (even, odd), c in f._terms.items():
+            for pos, (g, _) in enumerate(even):
                 if g is v:
-                    if e == 1:
-                        even = mono.even[:pos] + mono.even[pos + 1 :]
-                    else:
-                        even = (
-                            mono.even[:pos]
-                            + ((g, e - 1),)
-                            + mono.even[pos + 1 :]
-                        )
-                    data[Monomial(even, mono.odd)] = coeff * e
+                    rest, c = _even_partial(even, pos, c)
+                    data[_new_monomial((rest, odd))] = c
                     break
     else:
-        for mono, coeff in f.items():
-            for pos, g in enumerate(mono.odd):
+        for (even, odd), c in f._terms.items():
+            for pos, g in enumerate(odd):
                 if g is v:
-                    # moving v to the front passes pos odd factors
-                    new = Monomial(mono.even, mono.odd[:pos] + mono.odd[pos + 1 :])
-                    data[new] = -coeff if pos % 2 else coeff
+                    rest, c = _odd_partial(odd, pos, c)
+                    data[_new_monomial((even, rest))] = c
                     break
     return _settled(data)
 
 
 def differential(
-    f: SuperPolynomial, d: Callable[[Generator], Generator]
+    f: SuperPolynomial, d: Mapping[Generator, Generator]
 ) -> SuperPolynomial:
-    """The sum over the generators x of f of d(x) times the left partial of f
-    in x, d(x) on the left, built in one walk over the terms of f."""
+    """The sum over the generators x of f that d maps of d[x] times the left
+    partial of f in x, d[x] on the left, built in one walk over the terms of
+    f. A generator that d does not map is a constant."""
     sums: dict[Monomial, Scalar] = {}
     get = sums.get
+    image = d.get
 
     def add(dx: Generator, even: tuple, odd: tuple, c: Scalar) -> None:
         # c * dx * (even, odd), dx moved into canonical place
@@ -584,15 +594,16 @@ def differential(
         sums[mono] = get(mono, 0) + c
 
     for (even, odd), c in f._terms.items():
-        for pos, (x, e) in enumerate(even):
-            if e == 1:
-                rest = even[:pos] + even[pos + 1 :]
-            else:
-                rest = even[:pos] + ((x, e - 1),) + even[pos + 1 :]
-            add(d(x), rest, odd, c * e)
+        for pos, (x, _) in enumerate(even):
+            dx = image(x)
+            if dx is not None:
+                rest, ce = _even_partial(even, pos, c)
+                add(dx, rest, odd, ce)
         for pos, x in enumerate(odd):
-            # moving x to the front passes pos odd factors
-            add(d(x), even, odd[:pos] + odd[pos + 1 :], -c if pos % 2 else c)
+            dx = image(x)
+            if dx is not None:
+                rest, co = _odd_partial(odd, pos, c)
+                add(dx, even, rest, co)
     return _settled(sums)
 
 

@@ -176,11 +176,13 @@ def antitangent_morphism(phi: Morphism) -> Morphism:
     """
     source = antitangent_chart(phi.source)
     target = antitangent_chart(phi.target)
+    # generators outside the source chart (adjoined parameters) are constants
+    d = {x: source.differential_of(x) for x in phi.source.coordinates}
     assignment = {}
     for y in phi.target.coordinates:
         f = phi.assignment[y]
         assignment[y] = f
-        assignment[target.differential_of(y)] = differential(f, source.differential_of)
+        assignment[target.differential_of(y)] = differential(f, d)
     return Morphism(source, target, assignment)
 
 

@@ -390,6 +390,19 @@ class TestHomothety:
             lifted.jet(X, 2)
         )
 
+    def test_parity_reversed_lift_holds_an_adjoined_scale_constant(self):
+        lam = Generator("hlam4", EVEN)
+        lifted = prolong_chart(M, 1)
+        h = homothety(lifted, lam)
+        lift = antitangent_morphism(h)
+        assert lift == oracle_antitangent_morphism(h)
+        d = antitangent_chart(lifted).differential_of
+        # lam is no coordinate of the chart: it has no differential
+        assert lift.assignment[d(lifted.jet(X, 1))] == poly(lam) * poly(
+            d(lifted.jet(X, 1))
+        )
+        assert lift.assignment[d(lifted.jet(TH, 0))] == poly(d(lifted.jet(TH, 0)))
+
     def test_lifted_morphisms_commute_with_rescaling(self):
         rng = seeded(59)
         lam = Generator("hlam3", EVEN)
