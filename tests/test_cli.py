@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -559,6 +560,115 @@ class TestOutputContract:
             text=True,
         )
         assert first.stdout == again.stdout
+
+
+def _envelope(kind, inputs, result):
+    return json.dumps(
+        {"kind": kind, "inputs": inputs, "result": result, "diagnostics": []},
+        indent=2,
+    )
+
+
+class TestFailingVerdicts:
+    """The exact payloads of failed identities, each forced by replacing an
+    engine function that the CLI calls; every one exits 1."""
+
+    @pytest.fixture
+    def cli_module(self):
+        import sjet.cli as cli_module
+
+        return cli_module
+
+    def _both(self, argv):
+        text = run(argv + ["--format", "text"])
+        as_json = run(argv + ["--format", "json"])
+        assert (text.exit_code, text.diagnostics) == (1, ())
+        assert (as_json.exit_code, as_json.diagnostics) == (1, ())
+        return text.payload, as_json.payload
+
+    def test_interchange(self, doc_file, cli_module, monkeypatch):
+        monkeypatch.setattr(cli_module, "compose", lambda outer, inner: inner)
+        argv = ["interchange", doc_file, "--chart", "M", "--order", "1"]
+        text, as_json = self._both(argv)
+        names = ["x@0", "x@1", "th@0", "th@1", "d.x@0", "d.x@1", "d.th@0", "d.th@1"]
+        renaming = "\n".join(f"{n} = {n}" for n in names)
+        assert text == renaming + "\nmorphism f: FAILED"
+        result = {
+            "assignments": {n: n for n in names},
+            "morphisms": [{"name": "f", "ok": False}],
+        }
+        assert as_json == _envelope("interchange", {"chart": "M", "order": 1}, result)
+
+    def test_verify_relations(self, doc_file, cli_module, monkeypatch):
+        rows = (
+            RelationRow(1, "d", "d", "0", False),
+            RelationRow(1, "d", "J", "0", True),
+        )
+
+        def verify_relations(chart, k):
+            return RelationReport(chart, k, rows)
+
+        monkeypatch.setattr(cli_module, "verify_relations", verify_relations)
+        argv = ["verify", doc_file, "--suite", "relations", "--order", "1"]
+        text, as_json = self._both(argv)
+        assert text == (
+            "M: [d,d] = 0 ... FAILED\n"
+            "M: [d,J] = 0 ... ok\n"
+            "N: [d,d] = 0 ... FAILED\n"
+            "N: [d,J] = 0 ... ok\n"
+            "suite FAILED"
+        )
+        checks = [
+            {"chart": chart, "check": check, "block": 1, "ok": ok}
+            for chart in "MN"
+            for check, ok in (("[d,d] = 0", False), ("[d,J] = 0", True))
+        ]
+        inputs = {"suite": "relations", "order": 1}
+        result = {"checks": checks, "passed": False}
+        assert as_json == _envelope("verify", inputs, result)
+
+    def test_verify_functorial(self, doc_file, cli_module, monkeypatch):
+        # an unlifted chart makes both identity checks fail
+        monkeypatch.setattr(cli_module, "prolong_chart", lambda chart, k: chart)
+        argv = ["verify", doc_file, "--suite", "functorial", "--order", "1"]
+        text, as_json = self._both(argv)
+        assert text == (
+            "M: lift of identity is identity ... FAILED\n"
+            "N: lift of identity is identity ... FAILED\n"
+            "lift of g o f is the composite of lifts ... ok\n"
+            "lift of f o g is the composite of lifts ... ok\n"
+            "suite FAILED"
+        )
+        checks = [
+            {"chart": "M", "check": "lift of identity is identity", "ok": False},
+            {"chart": "N", "check": "lift of identity is identity", "ok": False},
+            {"check": "lift of g o f is the composite of lifts", "ok": True},
+            {"check": "lift of f o g is the composite of lifts", "ok": True},
+        ]
+        inputs = {"suite": "functorial", "order": 1}
+        result = {"checks": checks, "passed": False}
+        assert as_json == _envelope("verify", inputs, result)
+
+    def test_verify_weights(self, doc_file, cli_module, monkeypatch):
+        real = cli_module.weight_report
+
+        def weight_report(lifted):  # the lift of f fails, g keeps its real report
+            if lifted.source.name == "T1(M)":
+                return SimpleNamespace(valid=False)
+            return real(lifted)
+
+        monkeypatch.setattr(cli_module, "weight_report", weight_report)
+        argv = ["verify", doc_file, "--suite", "weights", "--order", "1"]
+        text, as_json = self._both(argv)
+        check = "assignments are weight-homogeneous and triangular"
+        assert text == f"f: {check} ... FAILED\ng: {check} ... ok\nsuite FAILED"
+        checks = [
+            {"morphism": "f", "check": check, "ok": False},
+            {"morphism": "g", "check": check, "ok": True},
+        ]
+        inputs = {"suite": "weights", "order": 1}
+        result = {"checks": checks, "passed": False}
+        assert as_json == _envelope("verify", inputs, result)
 
 
 LIFT = """\
