@@ -1,8 +1,9 @@
 """Command line interface.
 
 Every command reads one document file, computes, and prints a deterministic
-payload to stdout. Exit codes: 0 on success, 1 only when a verification
-suite reports a failed identity, 2 for any input or usage error, 3
+payload to stdout: each command computes a Result, and _render writes it in
+the requested format. Exit codes: 0 on success, 1 only when a check of
+interchange or verify fails, 2 for any input or usage error, 3
 (EXIT_INTERNAL) for an internal error, that is a bug in sjet; it prints one
 line, and its traceback too when SJET_DEBUG=1. Diagnostics go to stderr; set
 SJET_COLOR=1 to colour them. Run as a program, a command whose stdout was
@@ -24,7 +25,13 @@ from .fields import VectorField, bracket, verify_relations
 from .geometry import compose, Jet, Morphism, jet_of_curve
 from .grassmann import EVEN, Generator
 from .latex import emit_latex
-from .printer import format_field, format_jet, format_morphism, format_polynomial
+from .printer import (
+    coordinate_rows,
+    format_field,
+    format_jet,
+    format_morphism,
+    format_polynomial,
+)
 from .prolongation import (
     antitangent_morphism,
     homothety,
@@ -157,33 +164,6 @@ def _parse_argv(argv: list[str]):
     return SimpleNamespace(command=command, file=files[0], **values)
 
 
-def _json_payload(kind: str, inputs: dict, result) -> str:
-    import json  # only JSON output pays for importing it
-
-    return json.dumps(
-        {"kind": kind, "inputs": inputs, "result": result, "diagnostics": []},
-        indent=2,
-    )
-
-
-def _morphism_strings(phi: Morphism) -> dict[str, str]:
-    return {
-        y.name: format_polynomial(phi.assignment[y])
-        for y in phi.target.coordinates
-    }
-
-
-def _jet_strings(jet: Jet) -> dict[str, list[str]]:
-    return {
-        g.name: [format_polynomial(c) for c in jet.coefficients[g]]
-        for g in jet.chart.coordinates
-    }
-
-
-def _field_strings(field: VectorField) -> dict[str, str]:
-    return {g.name: format_polynomial(field.values[g]) for g in field.chart.coordinates}
-
-
 def _lookup(table: dict, name: str, what: str):
     try:
         return table[name]
@@ -198,45 +178,42 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise SjetError(f"{what} must be a rational number, got {text!r}") from None
 
 
-def _emit(kind, args, inputs, value, json_result, text_fn) -> CommandResult:
-    """``value`` in the requested ``--format``; ``json_result(value)`` is the
-    JSON ``result`` and ``text_fn(value)`` the text payload."""
-    if args.format == "json":
-        return CommandResult(0, _json_payload(kind, inputs, json_result(value)))
-    if args.format == "latex":
-        return CommandResult(0, emit_latex(value))
-    return CommandResult(0, text_fn(value))
+class Result(NamedTuple):
+    """What a command computed. ``value`` is a Morphism, Jet or VectorField,
+    the summary line of ``check``, or None for ``verify``; ``checks`` holds
+    the verdict rows, each a dict with an ``ok`` entry."""
+
+    kind: str
+    inputs: dict
+    value: object
+    checks: tuple | list = ()
 
 
-def _cmd_check(doc, args) -> CommandResult:
+def _cmd_check(doc, args) -> Result:
     counts = (
         f"{len(doc.charts)} charts, {len(doc.params)} parameter algebras, "
         f"{len(doc.morphisms)} morphisms, {len(doc.curves)} curves, "
         f"{len(doc.fields)} fields"
     )
-    return CommandResult(0, f"ok: {counts}")
+    return Result("check", {}, f"ok: {counts}")
 
 
-def _cmd_prolong(doc, args) -> CommandResult:
+def _cmd_prolong(doc, args) -> Result:
     phi = _lookup(doc.morphisms, args.morphism, "morphism")
-    lifted = prolong_morphism(phi, args.order)
     inputs = {"morphism": args.morphism, "order": args.order}
-    return _emit("prolong", args, inputs, lifted, _morphism_strings, format_morphism)
+    return Result("prolong", inputs, prolong_morphism(phi, args.order))
 
 
-def _cmd_pit(doc, args) -> CommandResult:
+def _cmd_pit(doc, args) -> Result:
     phi = _lookup(doc.morphisms, args.morphism, "morphism")
-    lifted = antitangent_morphism(phi)
-    inputs = {"morphism": args.morphism}
-    return _emit("pit", args, inputs, lifted, _morphism_strings, format_morphism)
+    return Result("pit", {"morphism": args.morphism}, antitangent_morphism(phi))
 
 
-def _cmd_interchange(doc, args) -> CommandResult:
+def _cmd_interchange(doc, args) -> Result:
     chart = _lookup(doc.charts, args.chart, "chart")
     k = args.order
     renaming = interchange(chart, k)
-    rows = []
-    ok_all = True
+    checks = []
     for name, phi in doc.morphisms.items():
         if phi.source is not chart:
             continue
@@ -248,50 +225,33 @@ def _cmd_interchange(doc, args) -> CommandResult:
             antitangent_morphism(prolong_morphism(phi, k)),
             renaming,
         )
-        ok = route_a == route_b
-        ok_all = ok_all and ok
-        rows.append((name, ok))
-    inputs = {"chart": args.chart, "order": k}
-    if args.format == "json":
-        result = {
-            "assignments": _morphism_strings(renaming),
-            "morphisms": [{"name": n, "ok": ok} for n, ok in rows],
-        }
-        return CommandResult(
-            0 if ok_all else 1, _json_payload("interchange", inputs, result)
-        )
-    lines = [format_morphism(renaming)]
-    for name, ok in rows:
-        lines.append(f"morphism {name}: {'ok' if ok else 'FAILED'}")
-    return CommandResult(0 if ok_all else 1, "\n".join(lines))
+        checks.append({"name": name, "ok": route_a == route_b})
+    return Result("interchange", {"chart": args.chart, "order": k}, renaming, checks)
 
 
-def _cmd_jet(doc, args) -> CommandResult:
+def _cmd_jet(doc, args) -> Result:
     curve = _lookup(doc.curves, args.curve, "curve")
     at = _parse_rational(args.at, "--at")
-    jet = jet_of_curve(curve, args.order, at)
     inputs = {"curve": args.curve, "order": args.order, "at": str(at)}
-    return _emit("jet", args, inputs, jet, _jet_strings, format_jet)
+    return Result("jet", inputs, jet_of_curve(curve, args.order, at))
 
 
-def _cmd_bracket(doc, args) -> CommandResult:
+def _cmd_bracket(doc, args) -> Result:
     left = _lookup(doc.fields, args.left, "field")
     right = _lookup(doc.fields, args.right, "field")
-    result_field = bracket(left, right)
     inputs = {"left": args.left, "right": args.right}
-    return _emit("bracket", args, inputs, result_field, _field_strings, format_field)
+    return Result("bracket", inputs, bracket(left, right))
 
 
-def _cmd_homothety(doc, args) -> CommandResult:
+def _cmd_homothety(doc, args) -> Result:
     chart = _lookup(doc.charts, args.chart, "chart")
     jets = prolong_chart(chart, args.order)
     if args.lam == "symbolic":
         lam = Generator("lambda", EVEN)
     else:
         lam = _parse_rational(args.lam, "--lambda")
-    phi = homothety(jets, lam)
     inputs = {"chart": args.chart, "order": args.order, "lambda": args.lam}
-    return _emit("homothety", args, inputs, phi, _morphism_strings, format_morphism)
+    return Result("homothety", inputs, homothety(jets, lam))
 
 
 def _suite_relations(doc, k):
@@ -353,28 +313,15 @@ def _suite_weights(doc, k):
     return rows
 
 
-def _cmd_verify(doc, args) -> CommandResult:
+def _cmd_verify(doc, args) -> Result:
     k = args.order
     if args.suite == "relations":
-        rows = _suite_relations(doc, k)
+        checks = _suite_relations(doc, k)
     elif args.suite == "functorial":
-        rows = _suite_functorial(doc, k)
+        checks = _suite_functorial(doc, k)
     else:
-        rows = _suite_weights(doc, k)
-    ok_all = all(row["ok"] for row in rows)
-    inputs = {"suite": args.suite, "order": k}
-    if args.format == "json":
-        return CommandResult(
-            0 if ok_all else 1,
-            _json_payload("verify", inputs, {"checks": rows, "passed": ok_all}),
-        )
-    lines = []
-    for row in rows:
-        where = row.get("chart") or row.get("morphism")
-        prefix = f"{where}: " if where else ""
-        lines.append(f"{prefix}{row['check']} ... {'ok' if row['ok'] else 'FAILED'}")
-    lines.append("suite passed" if ok_all else "suite FAILED")
-    return CommandResult(0 if ok_all else 1, "\n".join(lines))
+        checks = _suite_weights(doc, k)
+    return Result("verify", {"suite": args.suite, "order": k}, None, checks)
 
 
 _COMMANDS = {
@@ -387,6 +334,50 @@ _COMMANDS = {
     "homothety": _cmd_homothety,
     "verify": _cmd_verify,
 }
+
+
+def _text(value) -> str:
+    """The text of a command's value, through the printer names of this module."""
+    if isinstance(value, Morphism):
+        return format_morphism(value)
+    if isinstance(value, Jet):
+        return format_jet(value)
+    if isinstance(value, VectorField):
+        return format_field(value)
+    return value
+
+
+def _verdict_line(row: dict) -> str:
+    status = "ok" if row["ok"] else "FAILED"
+    if "name" in row:  # a morphism of interchange
+        return f"morphism {row['name']}: {status}"
+    where = row.get("chart") or row.get("morphism")
+    prefix = f"{where}: " if where else ""
+    return f"{prefix}{row['check']} ... {status}"
+
+
+def _render(result: Result, fmt: str) -> CommandResult:
+    """``result`` written in the format ``fmt``; exit 1 when a check failed."""
+    kind, inputs, value, checks = result
+    code = 0 if all(row["ok"] for row in checks) else 1
+    if fmt == "latex":
+        return CommandResult(code, emit_latex(value))
+    if fmt == "json":
+        import json  # only JSON output pays for importing it
+
+        if value is None:
+            body = {"checks": checks, "passed": code == 0}
+        else:
+            body = dict(coordinate_rows(value, format_polynomial))
+            if kind == "interchange":
+                body = {"assignments": body, "morphisms": checks}
+        payload = {"kind": kind, "inputs": inputs, "result": body, "diagnostics": []}
+        return CommandResult(code, json.dumps(payload, indent=2))
+    lines = [] if value is None else [_text(value)]
+    lines += map(_verdict_line, checks)
+    if value is None:
+        lines.append("suite passed" if code == 0 else "suite FAILED")
+    return CommandResult(code, "\n".join(lines))
 
 
 def run(argv) -> CommandResult:
@@ -406,8 +397,8 @@ def run(argv) -> CommandResult:
         message = f"{args.file}: not valid UTF-8 at byte {exc.start}: {exc.reason}"
         return CommandResult(2, "", (Diagnostic(message),))
     try:
-        doc = parse(text)
-        return _COMMANDS[args.command](doc, args)
+        result = _COMMANDS[args.command](parse(text), args)
+        return _render(result, getattr(args, "format", "text"))
     except DslError as exc:
         return CommandResult(2, "", tuple(exc.diagnostics))
     except SjetError as exc:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -127,9 +128,13 @@ def _span(newlines: list[int], start: int, end: int) -> SourceSpan:
     )
 
 
-def _lex(text: str) -> list[_Token]:
-    """The ``(kind, text, start, end)`` tokens of ``text``, ending with EOF."""
-    tokens = []
+def _lex(text: str) -> Iterator[_Token]:
+    """The ``(kind, text, start, end)`` tokens of ``text``, ending with EOF.
+
+    Tokens are made as the parser asks for them, so an unexpected character
+    is an error only once the parser reaches it, and an earlier parse error
+    is the one reported.
+    """
     pos = 0
     for match in _TOKEN.finditer(text):
         start, end = match.span()
@@ -139,12 +144,11 @@ def _lex(text: str) -> list[_Token]:
         kind = match.lastgroup
         if kind != "SKIP":
             snippet = match.group()
-            tokens.append((snippet if kind == "PUNCT" else kind, snippet, start, end))
+            yield (snippet if kind == "PUNCT" else kind, snippet, start, end)
     if pos != len(text):
         span = _span(_newlines(text), pos, pos + 1)
         raise DslError([Diagnostic(f"unexpected character {text[pos]!r}", span)])
-    tokens.append(("EOF", "", pos, pos))
-    return tokens
+    yield ("EOF", "", pos, pos)
 
 
 class Document:
@@ -197,19 +201,24 @@ MAX_DIGITS = 4000
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _lex(text)
+        self.token = None  # the next token, once the lexer has made it
+        self.end = 0  # where the last token taken ends
         self.newlines = _newlines(text)
-        self.pos = 0
         self.depth = 0  # open "(" and unary "-" in the current expression
 
     # -- token plumbing ---------------------------------------------------
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        token = self.token
+        if token is None:
+            token = self.token = next(self.tokens)
+        return token
 
     def advance(self) -> _Token:
-        token = self.tokens[self.pos]
+        token = self.peek()
         if token[0] != "EOF":
-            self.pos += 1
+            self.token = None
+            self.end = token[3]
         return token
 
     def fail(self, message: str, token: _Token):
@@ -284,7 +293,7 @@ class _Parser:
         is located at ``where[error.subject]``, the token where the name it is
         about was written, or else at the whole declaration.
         """
-        whole = ("DECL", keyword[1], keyword[2], self.tokens[self.pos - 1][3])
+        whole = ("DECL", keyword[1], keyword[2], self.end)
         try:
             value = build(*args)
         except SjetError as exc:
@@ -494,10 +503,13 @@ def parse(text: str) -> Document:
 
 def format_document(doc: Document) -> str:
     """Canonical re-rendering of a document; parsing it back is the identity."""
-    from .printer import format_polynomial, format_series
+    from .printer import coordinate_rows, format_polynomial, format_series
 
     def coord_list(generators) -> str:
         return ", ".join(f"{g.name}: {g.parity}" for g in generators)
+
+    def body(head: str, rows, label: str = "") -> str:
+        return "\n".join([head, *(f"  {label}{n} = {v};" for n, v in rows), "}"])
 
     blocks = []
     for kind, name in doc.declarations:
@@ -509,35 +521,24 @@ def format_document(doc: Document) -> str:
             blocks.append(f"params {name} ({coord_list(algebra.generators)});")
         elif kind == "morphism":
             phi = doc.morphisms[name]
-            lines = [f"morphism {name} : {phi.source.name} -> {phi.target.name} {{"]
-            for g in phi.target.coordinates:
-                lines.append(f"  {g.name} = {format_polynomial(phi.assignment[g])};")
-            lines.append("}")
-            blocks.append("\n".join(lines))
+            head = f"morphism {name} : {phi.source.name} -> {phi.target.name} {{"
+            blocks.append(body(head, coordinate_rows(phi, format_polynomial)))
         elif kind == "curve":
             curve = doc.curves[name]
-            lines = [
+            head = (
                 f"curve {name} on {curve.chart.name} params {curve.params.name} "
                 f"order {curve.order} {{"
-            ]
-            for g in curve.chart.coordinates:
-                lines.append(f"  {g.name} = {format_series(curve.components[g])};")
-            lines.append("}")
-            blocks.append("\n".join(lines))
+            )
+            blocks.append(body(head, coordinate_rows(curve, format_series)))
         elif kind == "field":
             vf = doc.fields[name]
             order = doc.field_orders[name]
-            base = doc.field_bases[name]
-            head = f"field {name} on {base}"
+            head = f"field {name} on {doc.field_bases[name]}"
             if order is not None:
                 head += f" order {order}"
             head += f" parity {vf.parity} {{"
-            lines = [head]
-            nonzero = [g for g in vf.chart.coordinates if not vf.values[g].is_zero()]
-            if not nonzero:
-                nonzero = [vf.chart.coordinates[0]]
-            for g in nonzero:
-                lines.append(f"  d/d {g.name} = {format_polynomial(vf.values[g])};")
-            lines.append("}")
-            blocks.append("\n".join(lines))
+            rows = coordinate_rows(vf, format_polynomial)
+            # only the zero polynomial renders as 0; an empty body cannot parse
+            nonzero = [(n, v) for n, v in rows if v != "0"] or rows[:1]
+            blocks.append(body(head, nonzero, "d/d "))
     return "\n".join(blocks) + ("\n" if blocks else "")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .fields import RelationReport, VectorField
 from .geometry import Jet, Morphism
 from .grassmann import SuperPolynomial
-from .printer import render_terms
+from .printer import coordinate_rows, render_terms
 
 _NAME = re.compile(r"^(d\.)?(.+?)(?:@(\d+))?$")
 
@@ -58,32 +58,14 @@ def latex_polynomial(p: SuperPolynomial) -> str:
     )
 
 
-def latex_morphism(phi: Morphism) -> str:
-    lines = [
-        f"{latex_name(y.name)} = {latex_polynomial(phi.assignment[y])}"
-        for y in phi.target.coordinates
-    ]
-    return "\n".join(lines)
-
-
-def latex_jet(jet: Jet) -> str:
-    lines = []
-    for g in jet.chart.coordinates:
-        inner = ", ".join(latex_polynomial(c) for c in jet.coefficients[g])
-        lines.append(rf"{latex_name(g.name)}\colon ({inner})")
-    return "\n".join(lines)
-
-
 def latex_field(field: VectorField) -> str:
     pieces = []
-    for g in field.chart.coordinates:
-        value = field.values[g]
-        if value.is_zero():
+    for name, body in coordinate_rows(field, latex_polynomial):
+        if body == "0":  # only the zero polynomial renders as 0
             continue
-        body = latex_polynomial(value)
         if " + " in body or " - " in body:
             body = rf"\left({body}\right)"
-        pieces.append(rf"{body}\,\frac{{\partial}}{{\partial {latex_name(g.name)}}}")
+        pieces.append(rf"{body}\,\frac{{\partial}}{{\partial {latex_name(name)}}}")
     if not pieces:
         return "0"
     return " + ".join(pieces)
@@ -108,9 +90,11 @@ def emit_latex(obj) -> str:
     if isinstance(obj, SuperPolynomial):
         return latex_polynomial(obj)
     if isinstance(obj, Morphism):
-        return latex_morphism(obj)
+        rows = coordinate_rows(obj, latex_polynomial)
+        return "\n".join(f"{latex_name(n)} = {v}" for n, v in rows)
     if isinstance(obj, Jet):
-        return latex_jet(obj)
+        rows = coordinate_rows(obj, latex_polynomial)
+        return "\n".join(rf"{latex_name(n)}\colon ({', '.join(v)})" for n, v in rows)
     if isinstance(obj, VectorField):
         return latex_field(obj)
     if isinstance(obj, RelationReport):

@@ -36,10 +36,6 @@ def sorted_terms(p: SuperPolynomial) -> list[tuple[Monomial, Fraction]]:
 _TOO_LONG = 10**MAX_DIGITS
 
 
-def format_scalar(c: Fraction) -> str:
-    return str(c)
-
-
 def render_terms(p: SuperPolynomial, name, power: str, scalar, join: str) -> str:
     """Render p term by term in canonical order.
 
@@ -75,7 +71,7 @@ def render_terms(p: SuperPolynomial, name, power: str, scalar, join: str) -> str
 
 
 def format_polynomial(p: SuperPolynomial) -> str:
-    return render_terms(p, lambda g: g.name, "{}^{}", format_scalar, "*")
+    return render_terms(p, lambda g: g.name, "{}^{}", str, "*")
 
 
 def format_series(series: TimeSeries) -> str:
@@ -89,35 +85,37 @@ def format_series(series: TimeSeries) -> str:
     return format_polynomial(SuperPolynomial(terms))
 
 
-def _coordinate_lines(coordinates, values, render, label: str = "") -> str:
-    """One ``<label><name> = <rendered value>`` line per coordinate."""
-    return "\n".join(f"{label}{g.name} = {render(values[g])}" for g in coordinates)
+def coordinate_rows(obj, render) -> list[tuple[str, object]]:
+    """``(name, render(value))`` for each coordinate of ``obj``, in chart order.
+
+    The coordinates are the target's of a Morphism and the chart's of an
+    SPoint, SCurve, Jet or VectorField; a jet's value is the list of its
+    rendered coefficients.
+    """
+    if isinstance(obj, Morphism):
+        return [(g.name, render(obj.assignment[g])) for g in obj.target.coordinates]
+    if isinstance(obj, Jet):
+        return [
+            (g.name, [render(c) for c in obj.coefficients[g]])
+            for g in obj.chart.coordinates
+        ]
+    values = obj.components if isinstance(obj, SCurve) else obj.values
+    return [(g.name, render(values[g])) for g in obj.chart.coordinates]
 
 
-def format_morphism(phi: Morphism) -> str:
-    return _coordinate_lines(phi.target.coordinates, phi.assignment, format_polynomial)
+def format_morphism(obj) -> str:
+    """One ``name = value`` line per coordinate of a Morphism or an SPoint."""
+    return "\n".join(f"{n} = {v}" for n, v in coordinate_rows(obj, format_polynomial))
 
 
 def format_jet(jet: Jet) -> str:
-    lines = []
-    for g in jet.chart.coordinates:
-        inner = ", ".join(format_polynomial(c) for c in jet.coefficients[g])
-        lines.append(f"{g.name}: ({inner})")
-    return "\n".join(lines)
-
-
-def format_point(point: SPoint) -> str:
-    return _coordinate_lines(point.chart.coordinates, point.values, format_polynomial)
-
-
-def format_curve(curve: SCurve) -> str:
-    return _coordinate_lines(curve.chart.coordinates, curve.components, format_series)
+    rows = coordinate_rows(jet, format_polynomial)
+    return "\n".join(f"{n}: ({', '.join(v)})" for n, v in rows)
 
 
 def format_field(field: VectorField) -> str:
-    return _coordinate_lines(
-        field.chart.coordinates, field.values, format_polynomial, "d/d "
-    )
+    rows = coordinate_rows(field, format_polynomial)
+    return "\n".join(f"d/d {n} = {v}" for n, v in rows)
 
 
 def format_relation_report(report: RelationReport) -> str:
@@ -138,14 +136,12 @@ def print_canonical(obj) -> str:
         return format_polynomial(obj)
     if isinstance(obj, TimeSeries):
         return format_series(obj)
-    if isinstance(obj, Morphism):
+    if isinstance(obj, (Morphism, SPoint)):
         return format_morphism(obj)
+    if isinstance(obj, SCurve):
+        return "\n".join(f"{n} = {v}" for n, v in coordinate_rows(obj, format_series))
     if isinstance(obj, Jet):
         return format_jet(obj)
-    if isinstance(obj, SPoint):
-        return format_point(obj)
-    if isinstance(obj, SCurve):
-        return format_curve(obj)
     if isinstance(obj, VectorField):
         return format_field(obj)
     if isinstance(obj, RelationReport):

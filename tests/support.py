@@ -4,9 +4,9 @@ Everything here deliberately avoids the engine's own shortcuts: signs come
 from a literal bubble sort, series composition goes through plain polynomial
 arithmetic in the time variable with explicit factorials, and the order-2
 lift is spelled out as the classical first and second chain rules. The
-evaluation and the parity-reversed lift that the engine replaced are kept as
-oracles too: term by term on rational coefficients, and as a sum over
-``partial``.
+evaluation, the parity-reversed lift and the lexer that the engine replaced
+are kept as oracles too: term by term on rational coefficients, as a sum
+over ``partial``, and as one token list made before parsing.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from sjet import (
     prolong_chart,
     substitute,
 )
+from sjet.dsl import _TOKEN, Diagnostic, DslError, _newlines, _span
 
 _fresh = itertools.count()
 
@@ -133,6 +134,27 @@ def oracle_antitangent_morphism(phi):
             total = total + poly(source.differential_of(x)) * partial(f, x)
         assignment[target.differential_of(y)] = total
     return Morphism(source, target, assignment)
+
+
+def oracle_lex(text):
+    """The whole token list of ``text``, made before any parsing starts, as
+    the lexer did before the parser pulled its tokens one at a time."""
+    tokens = []
+    pos = 0
+    for match in _TOKEN.finditer(text):
+        start, end = match.span()
+        if start != pos:
+            break
+        pos = end
+        kind = match.lastgroup
+        if kind != "SKIP":
+            snippet = match.group()
+            tokens.append((snippet if kind == "PUNCT" else kind, snippet, start, end))
+    if pos != len(text):
+        span = _span(_newlines(text), pos, pos + 1)
+        raise DslError([Diagnostic(f"unexpected character {text[pos]!r}", span)])
+    tokens.append(("EOF", "", pos, pos))
+    return tokens
 
 
 def oracle_prolong_k2(phi):

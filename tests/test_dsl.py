@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sjet import (
     Chart,
@@ -42,7 +43,7 @@ from sjet.dsl import (
 )
 from sjet.fields import RelationReport, RelationRow
 from sjet.printer import sorted_terms
-from support import rand_document_text, rand_monomial, seeded
+from support import oracle_lex, rand_document_text, rand_monomial, seeded
 
 
 class TestParsing:
@@ -537,6 +538,46 @@ class TestLexer:
         with pytest.raises(DslError) as found:
             parse(text)
         assert found.value.diagnostics == expected.value.diagnostics
+
+
+class TestPulledTokens:
+    """The parser pulls tokens from the lexer one at a time."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.text(alphabet="ab_x01@./d->(){},;:=+*^|# \t\n$!é", max_size=60))
+    def test_tokens_match_the_whole_list_lexer(self, text):
+        try:
+            expected = oracle_lex(text)
+        except DslError as exc:
+            with pytest.raises(DslError) as found:
+                list(_lex(text))
+            assert found.value.diagnostics == exc.diagnostics
+        else:
+            assert list(_lex(text)) == expected
+
+    def test_deep_input_is_refused_before_the_rest_is_lexed(self):
+        text = "chart M (x: even);\nmorphism f : M -> M { x = " + "(" * 3000
+        with pytest.raises(DslError) as found:
+            parse(text + "x" + ")" * 3000 + "; }\n$")
+        (diagnostic,) = found.value.diagnostics
+        assert "nested deeper than" in diagnostic.message
+        assert (diagnostic.line, diagnostic.column) == (2, 127)
+
+    @pytest.mark.parametrize(
+        "text, message, where",
+        [
+            ("chart M (x: even) junk; $", "expected ';', found 'junk'", (1, 19)),
+            ("chart M (x: $) junk;", "unexpected character '$'", (1, 13)),
+        ],
+    )
+    def test_the_earlier_of_two_errors_is_reported(self, text, message, where):
+        with pytest.raises(DslError) as found:
+            parse(text)
+        (diagnostic,) = found.value.diagnostics
+        assert (diagnostic.message, (diagnostic.line, diagnostic.column)) == (
+            message,
+            where,
+        )
 
 
 class TestLatex:

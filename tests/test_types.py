@@ -164,7 +164,7 @@ def test_documents_do_not_share_containers():
 
 
 def test_importing_the_cli_loads_no_code_generation_modules():
-    unwanted = {"dataclasses", "inspect", "argparse", "gettext"}
+    unwanted = {"dataclasses", "inspect", "argparse", "gettext", "json"}
     probe = f"import sys, sjet.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True

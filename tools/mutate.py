@@ -126,6 +126,13 @@ MUTANTS = (
         ("tests/test_prolongation.py",),
     ),
     Mutant(
+        "verdict-exit-dropped",
+        "sjet/cli.py",
+        'code = 0 if all(row["ok"] for row in checks) else 1',
+        "code = 0",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
         "exit-without-flush",
         "sjet/cli.py",
         "sys.stdout.flush()",
