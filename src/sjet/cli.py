@@ -178,15 +178,15 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise SjetError(f"{what} must be a rational number, got {text!r}") from None
 
 
-class Result(NamedTuple):
+class Result:
     """What a command computed. ``value`` is a Morphism, Jet or VectorField,
     the summary line of ``check``, or None for ``verify``; ``checks`` holds
     the verdict rows, each a dict with an ``ok`` entry."""
 
-    kind: str
-    inputs: dict
-    value: object
-    checks: tuple | list = ()
+    __slots__ = ("kind", "inputs", "value", "checks")
+
+    def __init__(self, kind: str, inputs: dict, value, checks=()):
+        self.kind, self.inputs, self.value, self.checks = kind, inputs, value, checks
 
 
 def _cmd_check(doc, args) -> Result:
@@ -358,7 +358,7 @@ def _verdict_line(row: dict) -> str:
 
 def _render(result: Result, fmt: str) -> CommandResult:
     """``result`` written in the format ``fmt``; exit 1 when a check failed."""
-    kind, inputs, value, checks = result
+    value, checks = result.value, result.checks
     code = 0 if all(row["ok"] for row in checks) else 1
     if fmt == "latex":
         return CommandResult(code, emit_latex(value))
@@ -369,9 +369,14 @@ def _render(result: Result, fmt: str) -> CommandResult:
             body = {"checks": checks, "passed": code == 0}
         else:
             body = dict(coordinate_rows(value, format_polynomial))
-            if kind == "interchange":
+            if result.kind == "interchange":
                 body = {"assignments": body, "morphisms": checks}
-        payload = {"kind": kind, "inputs": inputs, "result": body, "diagnostics": []}
+        payload = {
+            "kind": result.kind,
+            "inputs": result.inputs,
+            "result": body,
+            "diagnostics": [],
+        }
         return CommandResult(code, json.dumps(payload, indent=2))
     lines = [] if value is None else [_text(value)]
     lines += map(_verdict_line, checks)
