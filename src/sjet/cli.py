@@ -337,7 +337,8 @@ _COMMANDS = {
 
 
 def _text(value) -> str:
-    """The text of a command's value, through the printer names of this module."""
+    """The text of a command's value. The printers are looked up in this
+    module at each call, so a wrapper set on them here sees every render."""
     if isinstance(value, Morphism):
         return format_morphism(value)
     if isinstance(value, Jet):
