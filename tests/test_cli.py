@@ -458,6 +458,24 @@ class TestCommands:
         assert result.exit_code == 0
         assert result.payload
 
+    def test_bracket_latex_of_a_nonzero_field(self, tmp_path):
+        path = tmp_path / "bracket.sman"
+        path.write_text(
+            "chart M (x: even, y: even, th: odd);\n"
+            "field X on M parity even { d/d x = x^2 + y; d/d y = 1; }\n"
+            "field Y on M parity even { d/d x = y; d/d th = x*th; }\n",
+            encoding="utf-8",
+        )
+        argv = ["bracket", str(path), "--left", "X", "--right", "Y"]
+        result = run(argv + ["--format", "latex"])
+        assert (result.exit_code, result.diagnostics) == (0, ())
+        assert result.payload == (
+            r"\left(-2\,x\,y + 1\right)\,\frac{\partial}{\partial x} + "
+            r"\left(x^{2}\,th + y\,th\right)\,\frac{\partial}{\partial th}"
+        )
+        text = run(argv).payload
+        assert text == "d/d x = -2*x*y + 1\nd/d y = 0\nd/d th = x^2*th + y*th"
+
     def test_homothety_rational(self, doc_file):
         result = run(
             [

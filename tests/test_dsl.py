@@ -18,6 +18,7 @@ from sjet import (
     ODD,
     ParameterAlgebra,
     SCurve,
+    SPoint,
     TimeSeries,
     antitangent_chart,
     emit_latex,
@@ -410,6 +411,77 @@ class TestCanonicalPrinting:
             assert format_document(parse(canonical)) == canonical
 
 
+PRINTED = """\
+chart M (x: even, th: odd);
+params P (e: odd, s: even);
+morphism f : M -> M {
+  x = x^2 - 1/2;
+  th = x*th;
+}
+curve gamma on M params P order 2 {
+  x = -t^2*s + 2*t + 1;
+  th = t*e;
+}
+field A on M parity odd {
+  d/d x = th;
+}
+field B on M order 0 parity even {
+  d/d d.th@0 = x@0*d.th@0;
+}
+field C on M order 1 parity odd {
+  d/d x@1 = d.x@0;
+  d/d th@0 = x@0 - 3;
+}
+"""
+
+
+class TestCanonicalBytes:
+    """The exact text that ``print_canonical`` writes for each engine value."""
+
+    @pytest.fixture
+    def doc(self):
+        return parse(PRINTED)
+
+    def test_document(self, doc):
+        # a field keeps its base chart and its order, also an order of 0
+        assert print_canonical(doc) == PRINTED
+
+    def test_series_and_curve(self, doc):
+        gamma = doc.curves["gamma"]
+        x = doc.charts["M"].coordinate("x")
+        assert print_canonical(gamma.components[x]) == "-t^2*s + 2*t + 1"
+        assert print_canonical(gamma) == "x = -t^2*s + 2*t + 1\nth = t*e"
+
+    def test_point(self, doc):
+        chart, params = doc.charts["M"], doc.params["P"]
+        x, th = chart.coordinates
+        e, s = params.generators
+        point = SPoint(
+            chart, params, {x: poly(s) ** 2 - Fraction(2, 3), th: poly(e) * poly(s)}
+        )
+        assert print_canonical(point) == "x = s^2 - 2/3\nth = s*e"
+
+    def test_jet(self, doc):
+        jet = jet_of_curve(doc.curves["gamma"], 2, Fraction(1, 2))
+        assert print_canonical(jet) == (
+            "x: (-1/4*s + 2, -s + 2, -s)\nth: (1/2*e, e, 0)"
+        )
+
+    def test_field(self, doc):
+        assert print_canonical(doc.fields["C"]) == "\n".join(
+            [
+                "d/d x@0 = 0",
+                "d/d x@1 = d.x@0",
+                "d/d th@0 = x@0 - 3",
+                "d/d th@1 = 0",
+                "d/d d.x@0 = 0",
+                "d/d d.x@1 = 0",
+                "d/d d.th@0 = 0",
+                "d/d d.th@1 = 0",
+            ]
+        )
+
+
 class _ReferenceToken(NamedTuple):
     kind: str
     text: str
@@ -616,6 +688,13 @@ class TestLatex:
         gamma = SCurve(chart, params, 2, {x: TimeSeries([1, 2, 1])})
         jet = jet_of_curve(gamma, 2)
         assert "(1, 2, 1)" in emit_latex(jet)
+
+    def test_field_parenthesises_sums_and_skips_zeros(self):
+        field = parse(PRINTED).fields["C"]
+        assert emit_latex(field) == (
+            r"d x\,\frac{\partial}{\partial \dot{x}} + "
+            r"\left(x - 3\right)\,\frac{\partial}{\partial th}"
+        )
 
     def test_relation_rows_use_checkmarks(self):
         line = Chart("LR", (Generator("x", EVEN),))

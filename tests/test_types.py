@@ -1,5 +1,6 @@
 """Value records and identity types: equality, hashing and immutability."""
 
+import copy
 import subprocess
 import sys
 
@@ -9,8 +10,14 @@ from sjet import (
     Chart,
     EVEN,
     Generator,
+    Jet,
+    Morphism,
     ODD,
     ParameterAlgebra,
+    SCurve,
+    SPoint,
+    TimeSeries,
+    VectorField,
     antitangent_chart,
     canonical_fields,
     poly,
@@ -111,6 +118,68 @@ class TestValueRecords:
         assert result.payload == ""
         assert result.diagnostics == ()
         assert isinstance(result.diagnostics, tuple)
+
+
+OTHER = Chart("TO", (GX, GTH))
+PARAMS = ParameterAlgebra("TP2", (Generator("tp", ODD),))
+
+
+def value_builders():
+    """Per value type: a builder of fresh, equal instances, and per attribute
+    a value that differs from the one the builder gives."""
+    (p,) = PARAMS.generators
+    morphism = lambda: Morphism(BASE, BASE, {GX: poly(GX) ** 2, GTH: poly(GTH)})
+    point = lambda: SPoint(BASE, PARAMS, {GX: 1, GTH: poly(p)})
+    series = lambda: {GX: TimeSeries([1, 2]), GTH: TimeSeries([poly(p), 0])}
+    curve = lambda: SCurve(BASE, PARAMS, 1, series())
+
+    def jet():
+        one, zero = poly(GX) ** 0, poly(GX) * 0
+        return Jet(BASE, 1, {GX: (one, 2 * one), GTH: (zero, poly(GTH))})
+
+    field = lambda: VectorField(BASE, ODD, {GX: poly(GTH)})
+    return [
+        (morphism, {"source": OTHER, "target": OTHER, "assignment": {GX: 1}}),
+        (point, {"chart": OTHER, "params": ParameterAlgebra("TP3", ()),
+                 "values": {GX: 2}}),
+        (curve, {"chart": OTHER, "params": ParameterAlgebra("TP4", ()),
+                 "order": 2, "components": {}}),
+        (jet, {"chart": OTHER, "order": 2, "coefficients": {}}),
+        (field, {"chart": OTHER, "parity": EVEN, "values": {GX: 0}}),
+    ]
+
+
+VALUE_TYPES = ["Morphism", "SPoint", "SCurve", "Jet", "VectorField"]
+
+
+class TestValueEquality:
+    """Morphism, SPoint, SCurve, Jet and VectorField: equal when of one type,
+    on the same chart objects, with equal other attributes."""
+
+    @pytest.mark.parametrize("build, changes", value_builders(), ids=VALUE_TYPES)
+    def test_separately_built_instances_are_equal(self, build, changes):
+        a, b = build(), build()
+        assert a is not b
+        assert a == b
+        assert not (a != b)
+
+    @pytest.mark.parametrize("build, changes", value_builders(), ids=VALUE_TYPES)
+    def test_each_attribute_takes_part(self, build, changes):
+        a = build()
+        assert set(changes) == set(type(a).__slots__)
+        for name, other in changes.items():
+            b = copy.copy(a)
+            setattr(b, name, other)
+            assert a != b, name
+            assert b != a, name
+
+    @pytest.mark.parametrize("build, changes", value_builders(), ids=VALUE_TYPES)
+    def test_no_equality_with_other_types_and_no_hash(self, build, changes):
+        a = build()
+        assert not (a == 1)
+        assert a != 1
+        with pytest.raises(TypeError):
+            hash(a)
 
 
 class TestIdentityTypes:
