@@ -19,7 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .dsl import MAX_DIGITS, MAX_ORDER, Diagnostic, DslError, parse
+from .dsl import MAX_DIGITS, MAX_ORDER, Diagnostic, DslError, parse, rational_literal
 from .errors import SjetError
 from .fields import VectorField, bracket, verify_relations
 from .geometry import compose, Jet, Morphism, jet_of_curve
@@ -52,11 +52,11 @@ class CommandResult(NamedTuple):
 
 
 class _Option:
-    __slots__ = ("name", "help", "default", "choices", "integer")
+    __slots__ = ("name", "help", "default", "choices", "kind")
 
-    def __init__(self, name, help, default=None, choices=(), integer=False):
+    def __init__(self, name, help, default=None, choices=(), kind=str):
         self.name, self.help, self.default = name, help, default
-        self.choices, self.integer = choices, integer
+        self.choices, self.kind = choices, kind
 
 
 _MORPHISM = _Option("morphism", "declared morphism name")
@@ -64,9 +64,9 @@ _CHART = _Option("chart", "declared chart name")
 _CURVE = _Option("curve", "declared curve name")
 _LEFT = _Option("left", "declared field name")
 _RIGHT = _Option("right", "declared field name")
-_ORDER = _Option("order", "jet order", integer=True)
-_AT = _Option("at", "base time, a rational p/q", "0")
-_LAMBDA = _Option("lambda", "a rational p/q, or 'symbolic'", "symbolic")
+_ORDER = _Option("order", "jet order", kind=int)
+_AT = _Option("at", "base time, a rational p/q", "0", kind=Fraction)
+_LAMBDA = _Option("lambda", "a rational p/q, or 'symbolic'", "symbolic", kind=Fraction)
 _SUITE = _Option("suite", "suite to run", None, ("relations", "functorial", "weights"))
 _FORMAT = _Option("format", "output format", "text", ("text", "json", "latex"))
 _NO_LATEX = _Option("format", "output format", "text", ("text", "json"))
@@ -145,12 +145,18 @@ def _parse_argv(argv: list[str]):
         if option.choices and value not in option.choices:
             choices = ", ".join(option.choices)
             return _usage(command, f"--{option.name} must be one of {choices}")
-        if option.integer:
+        if option.kind is int:
             digits = value.removeprefix("-")
             if not (digits.isascii() and digits.isdigit()) or len(digits) > MAX_DIGITS:
                 problem = f"an integer of at most {MAX_DIGITS} digits"
                 return _usage(command, f"--{option.name} expects {problem}")
             value = int(value)
+        # a rational stays text, which JSON echoes; --lambda's default is a word
+        if option.kind is Fraction and value != option.default:
+            try:
+                rational_literal(value)
+            except ValueError as exc:
+                return _usage(command, f"--{option.name}: {exc}")
         values[option.name] = value
     if len(files) != 1:
         return _usage(command, f"expected one FILE, found {len(files)}")
@@ -169,13 +175,6 @@ def _lookup(table: dict, name: str, what: str):
         return table[name]
     except KeyError:
         raise SjetError(f"{what} '{name}' is not declared in the document") from None
-
-
-def _parse_rational(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise SjetError(f"{what} must be a rational number, got {text!r}") from None
 
 
 class Result:
@@ -231,7 +230,7 @@ def _cmd_interchange(doc, args) -> Result:
 
 def _cmd_jet(doc, args) -> Result:
     curve = _lookup(doc.curves, args.curve, "curve")
-    at = _parse_rational(args.at, "--at")
+    at = Fraction(args.at)
     inputs = {"curve": args.curve, "order": args.order, "at": str(at)}
     return Result("jet", inputs, jet_of_curve(curve, args.order, at))
 
@@ -249,7 +248,7 @@ def _cmd_homothety(doc, args) -> Result:
     if args.lam == "symbolic":
         lam = Generator("lambda", EVEN)
     else:
-        lam = _parse_rational(args.lam, "--lambda")
+        lam = Fraction(args.lam)
     inputs = {"chart": args.chart, "order": args.order, "lambda": args.lam}
     return Result("homothety", inputs, homothety(jets, lam))
 

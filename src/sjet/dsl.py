@@ -53,7 +53,7 @@ from .grassmann import (
     TimeSeries,
     poly,
 )
-from .prolongation import antitangent_chart, prolong_chart
+from .prolongation import AntitangentChart, antitangent_chart, prolong_chart
 
 
 class SourceSpan(NamedTuple):
@@ -161,8 +161,6 @@ class Document:
         self.morphisms: dict[str, Morphism] = {}
         self.curves: dict[str, SCurve] = {}
         self.fields: dict[str, VectorField] = {}
-        self.field_orders: dict[str, int | None] = {}
-        self.field_bases: dict[str, str] = {}
         self.spans: dict[tuple[str, str], SourceSpan] = {}
 
 
@@ -196,6 +194,26 @@ MAX_ORDER = 100
 # literal, and of a coefficient that the printer writes out: CPython refuses
 # to convert an int of more than 4300 digits to or from text.
 MAX_DIGITS = 4000
+
+_RATIONAL = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
+
+
+def rational_literal(text: str) -> Fraction:
+    """The rational that ``text`` spells as ``-?DIGITS(/DIGITS)?``, in ASCII.
+
+    This is the one check of a rational literal, in a document and in a
+    command-line option. Any other spelling, a part of more than MAX_DIGITS
+    digits and a zero denominator are each a ValueError that says which.
+    """
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError("expected a rational p/q")
+    if max(len(part) for part in match.groups("")) > MAX_DIGITS:
+        raise ValueError(f"a rational literal exceeds the limit of {MAX_DIGITS} digits")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("rational literal has denominator zero") from None
 
 
 class _Parser:
@@ -420,8 +438,6 @@ class _Parser:
         resolver = {g.name: g for g in chart.coordinates}
         values, where = self.parse_assignments(chart, resolver, ddt=True)
         self.declare(doc, keyword, name, where, VectorField, chart, parity, values)
-        doc.field_orders[name] = order
-        doc.field_bases[name] = base.name
 
     # -- expressions --------------------------------------------------------
 
@@ -470,15 +486,10 @@ class _Parser:
         kind, text = token[0], token[1]
         if kind == "NUMBER":
             self.advance()
-            if max(map(len, text.split("/"))) > MAX_DIGITS:
-                self.fail(
-                    f"a rational literal exceeds the limit of {MAX_DIGITS} digits",
-                    token,
-                )
             try:
-                value = Fraction(text)
-            except ZeroDivisionError:
-                self.fail("rational literal has denominator zero", token)
+                value = rational_literal(text)
+            except ValueError as exc:
+                self.fail(str(exc), token)
             return SuperPolynomial.scalar(value)
         if kind == "IDENT":
             self.advance()
@@ -532,11 +543,11 @@ def format_document(doc: Document) -> str:
             blocks.append(body(head, coordinate_rows(curve, format_series)))
         elif kind == "field":
             vf = doc.fields[name]
-            order = doc.field_orders[name]
-            head = f"field {name} on {doc.field_bases[name]}"
-            if order is not None:
-                head += f" order {order}"
-            head += f" parity {vf.parity} {{"
+            on = vf.chart.name
+            # a field declared with "order k" lives on PiT(Tk(base))
+            if isinstance(vf.chart, AntitangentChart):
+                on = f"{vf.chart.base.base.name} order {vf.chart.base.order}"
+            head = f"field {name} on {on} parity {vf.parity} {{"
             rows = coordinate_rows(vf, format_polynomial)
             # only the zero polynomial renders as 0; an empty body cannot parse
             nonzero = [(n, v) for n, v in rows if v != "0"] or rows[:1]

@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import Mapping, NamedTuple
 
 from .errors import AlgebraError, DomainError, ParityError
-from .geometry import Chart, foreign_names, values_on
+from .geometry import Chart, _Value, foreign_names, values_on
 from .grassmann import (
     EVEN,
     Generator,
@@ -41,7 +41,7 @@ from .prolongation import antitangent_chart, prolong_chart
 _INDEX = attrgetter("index")
 
 
-class VectorField:
+class VectorField(_Value):
     """A graded derivation on a chart, stored by its coordinate values.
 
     Missing coordinates default to zero. Every stored value must be
@@ -97,15 +97,6 @@ class VectorField:
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return (
-            self.chart is other.chart
-            and self.parity is other.parity
-            and self.values == other.values
-        )
 
     def __add__(self, other):
         if not isinstance(other, VectorField):

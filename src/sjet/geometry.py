@@ -77,9 +77,6 @@ class Chart(_Frozen):
     def __contains__(self, g: Generator) -> bool:
         return g in self._coord_set
 
-    def __iter__(self):
-        return iter(self.coordinates)
-
     def __repr__(self):
         n, m = self.dimension
         return f"Chart({self.name!r}, dim=({n}|{m}))"
@@ -96,9 +93,6 @@ class ParameterAlgebra(_Frozen):
 
     def __contains__(self, g: Generator) -> bool:
         return g in self._gen_set
-
-    def __iter__(self):
-        return iter(self.generators)
 
     def __repr__(self):
         return f"ParameterAlgebra({self.name!r}, {len(self.generators)} generators)"
@@ -179,7 +173,20 @@ def _check_disjoint(chart: Chart, params: ParameterAlgebra):
         )
 
 
-class Morphism:
+class _Value:
+    """Base of Morphism, SPoint, SCurve, Jet and VectorField: two values are
+    equal when they are of one type with equal attributes, where a chart or a
+    parameter algebra is equal only to itself. Values are not hashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in type(self).__slots__)
+
+
+class Morphism(_Value):
     """A chart map recorded by its pullback on coordinates.
 
     ``assignment[y]`` is the polynomial over the source coordinates that the
@@ -204,15 +211,6 @@ class Morphism:
     @classmethod
     def identity(cls, chart: Chart) -> "Morphism":
         return cls(chart, chart, {g: poly(g) for g in chart.coordinates})
-
-    def __eq__(self, other):
-        if not isinstance(other, Morphism):
-            return NotImplemented
-        return (
-            self.source is other.source
-            and self.target is other.target
-            and self.assignment == other.assignment
-        )
 
     def __repr__(self):
         return f"Morphism({self.source.name!r} -> {self.target.name!r})"
@@ -239,7 +237,7 @@ def compose(phi: Morphism, psi: Morphism) -> Morphism:
     return Morphism(psi.source, phi.target, assignment)
 
 
-class SPoint:
+class SPoint(_Value):
     """A parameterised point: coordinates valued in a parameter algebra."""
 
     __slots__ = ("chart", "params", "values")
@@ -255,20 +253,11 @@ class SPoint:
         self.params = params
         self.values = values_on(chart, values, allowed=params)
 
-    def __eq__(self, other):
-        if not isinstance(other, SPoint):
-            return NotImplemented
-        return (
-            self.chart is other.chart
-            and self.params is other.params
-            and self.values == other.values
-        )
-
     def __repr__(self):
         return f"SPoint(chart={self.chart.name!r}, params={self.params.name!r})"
 
 
-class SCurve:
+class SCurve(_Value):
     """A parameterised curve: one truncated time series per coordinate."""
 
     __slots__ = ("chart", "params", "order", "components")
@@ -296,16 +285,6 @@ class SCurve:
         self.order = order
         self.components = out
 
-    def __eq__(self, other):
-        if not isinstance(other, SCurve):
-            return NotImplemented
-        return (
-            self.chart is other.chart
-            and self.params is other.params
-            and self.order == other.order
-            and self.components == other.components
-        )
-
     def __repr__(self):
         return (
             f"SCurve(chart={self.chart.name!r}, params={self.params.name!r}, "
@@ -313,7 +292,7 @@ class SCurve:
         )
 
 
-class Jet:
+class Jet(_Value):
     """Per coordinate, the first k+1 series coefficients of a curve.
 
     Entry r is 1/r! times the r-th time derivative at the base time.
@@ -342,15 +321,6 @@ class Jet:
 
     def coefficient(self, coordinate: Generator, r: int) -> SuperPolynomial:
         return self.coefficients[coordinate][r]
-
-    def __eq__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return (
-            self.chart is other.chart
-            and self.order == other.order
-            and self.coefficients == other.coefficients
-        )
 
     def __repr__(self):
         return f"Jet(chart={self.chart.name!r}, order={self.order})"

@@ -800,14 +800,6 @@ class TimeSeries:
         self._require_same_order(other)
         return TimeSeries._trusted(a + b for a, b in zip(self._coeffs, other._coeffs))
 
-    def __neg__(self):
-        return TimeSeries._trusted(-c for c in self._coeffs)
-
-    def __sub__(self, other):
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, TimeSeries):
             self._require_same_order(other)
@@ -820,21 +812,6 @@ class TimeSeries:
         if isinstance(other, (int, Fraction)):
             return TimeSeries._trusted(c * other for c in self._coeffs)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, SuperPolynomial)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise DomainError(
-                f"powers need a nonnegative integer exponent, got {exponent!r}"
-            )
-        result = TimeSeries.constant(1, self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def shift(self, t0: Scalar) -> "TimeSeries":
         """Re-expand the series about t0, i.e. substitute t -> t + t0."""

@@ -10,21 +10,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .fields import RelationReport, VectorField
+from .fields import VectorField
 from .geometry import Jet, Morphism
 from .grassmann import SuperPolynomial
 from .printer import coordinate_rows, render_terms
 
 _NAME = re.compile(r"^(d\.)?(.+?)(?:@(\d+))?$")
-
-_FIELD_SYMBOLS = {
-    "d": "d",
-    "Delta1": r"\Delta_1",
-    "Delta2": r"\Delta_2",
-    "Delta": r"\Delta",
-    "J": "J",
-    "0": "0",
-}
 
 
 def latex_name(name: str) -> str:
@@ -71,22 +62,8 @@ def latex_field(field: VectorField) -> str:
     return " + ".join(pieces)
 
 
-def latex_relation_report(report: RelationReport) -> str:
-    lines = []
-    for row in report.rows:
-        left = _FIELD_SYMBOLS[row.left]
-        right = _FIELD_SYMBOLS[row.right]
-        if row.expected.startswith("-"):
-            expected = "-" + _FIELD_SYMBOLS[row.expected[1:]]
-        else:
-            expected = _FIELD_SYMBOLS[row.expected]
-        mark = r"\;\checkmark" if row.ok else r"\;\times"
-        lines.append(f"[{left}, {right}] = {expected} {mark}")
-    return "\n".join(lines)
-
-
 def emit_latex(obj) -> str:
-    """LaTeX for a morphism, jet, vector field or relation report."""
+    """LaTeX for a polynomial, morphism, jet or vector field."""
     if isinstance(obj, SuperPolynomial):
         return latex_polynomial(obj)
     if isinstance(obj, Morphism):
@@ -97,6 +74,4 @@ def emit_latex(obj) -> str:
         return "\n".join(rf"{latex_name(n)}\colon ({', '.join(v)})" for n, v in rows)
     if isinstance(obj, VectorField):
         return latex_field(obj)
-    if isinstance(obj, RelationReport):
-        return latex_relation_report(obj)
     raise TypeError(f"cannot emit LaTeX for values of type {type(obj).__name__}")

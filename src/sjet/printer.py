@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .dsl import MAX_DIGITS
 from .errors import DomainError
-from .fields import RelationReport, VectorField
+from .fields import VectorField
 from .geometry import Jet, Morphism, SCurve, SPoint
 from .grassmann import Monomial, SuperPolynomial, TIME, TimeSeries
 
@@ -118,14 +118,6 @@ def format_field(field: VectorField) -> str:
     return "\n".join(f"d/d {n} = {v}" for n, v in rows)
 
 
-def format_relation_report(report: RelationReport) -> str:
-    lines = []
-    for row in report.rows:
-        status = "ok" if row.ok else "FAILED"
-        lines.append(f"block {row.block}: {row.label} ... {status}")
-    return "\n".join(lines)
-
-
 def print_canonical(obj) -> str:
     """Canonical text of any printable engine value."""
     from .dsl import Document, format_document
@@ -144,6 +136,4 @@ def print_canonical(obj) -> str:
         return format_jet(obj)
     if isinstance(obj, VectorField):
         return format_field(obj)
-    if isinstance(obj, RelationReport):
-        return format_relation_report(obj)
     raise TypeError(f"cannot print values of type {type(obj).__name__}")

@@ -306,6 +306,57 @@ class TestUsageErrors:
         assert not result.diagnostics[0].message.startswith("usage:")
 
 
+RATIONAL_OPTIONS = {
+    "at": ["jet", "{doc}", "--curve", "gamma", "--order", "2", "--at"],
+    "lambda": ["homothety", "{doc}", "--chart", "M", "--order", "1", "--lambda"],
+}
+
+
+class TestRationalOptions:
+    """--at and --lambda take a document's literal -?DIGITS(/DIGITS)?, with at
+    most MAX_DIGITS digits per part; anything else is a usage error."""
+
+    def _run(self, doc_file, option, value):
+        argv = [arg.replace("{doc}", doc_file) for arg in RATIONAL_OPTIONS[option]]
+        return run(argv + [value, "--format", "json"])
+
+    @pytest.mark.parametrize("option", RATIONAL_OPTIONS)
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            ("1e5000", "expected a rational p/q"),
+            ("1.5", "expected a rational p/q"),
+            ("1_000", "expected a rational p/q"),
+            (" 1/2", "expected a rational p/q"),
+            ("1/0", "denominator zero"),
+            ("1" * (MAX_DIGITS + 1), "exceeds the limit"),
+            ("1/" + "3" * (MAX_DIGITS + 1), "exceeds the limit"),
+        ],
+        ids=["exponent", "decimal", "underscore", "space", "zero", "num", "den"],
+    )
+    def test_other_spellings_are_one_usage_line(self, doc_file, option, value, problem):
+        result = self._run(doc_file, option, value)
+        assert (result.exit_code, result.payload) == (2, "")
+        (diagnostic,) = result.diagnostics
+        command = RATIONAL_OPTIONS[option][0]
+        assert diagnostic.message.startswith(f"usage: sjet {command}: --{option}: ")
+        assert problem in diagnostic.message
+        assert problem in diagnostic.message
+
+    @pytest.mark.parametrize("value", ["0", "1", "1/2", "2/3", "-3", "5/7", "2/4"])
+    def test_literals_are_echoed_as_before(self, doc_file, value):
+        at = json.loads(self._run(doc_file, "at", value).payload)["inputs"]["at"]
+        lam = self._run(doc_file, "lambda", value)
+        assert lam.exit_code == 0
+        assert at == ("1/2" if value == "2/4" else value)
+        assert json.loads(lam.payload)["inputs"]["lambda"] == value
+
+    def test_a_literal_at_the_digit_limit_is_read(self, doc_file):
+        value = "1" * MAX_DIGITS + "/" + "3" * MAX_DIGITS
+        result = self._run(doc_file, "lambda", value)
+        assert (result.exit_code, result.diagnostics) == (0, ())
+
+
 class TestHelp:
     @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
     def test_top_level_lists_every_command(self, flag):

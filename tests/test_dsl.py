@@ -42,7 +42,6 @@ from sjet.dsl import (
     _newlines,
     _span,
 )
-from sjet.fields import RelationReport, RelationRow
 from sjet.printer import sorted_terms
 from support import oracle_lex, rand_document_text, rand_monomial, seeded
 
@@ -696,18 +695,12 @@ class TestLatex:
             r"\left(x - 3\right)\,\frac{\partial}{\partial th}"
         )
 
-    def test_relation_rows_use_checkmarks(self):
-        line = Chart("LR", (Generator("x", EVEN),))
-        rendered = emit_latex(verify_relations(line, 1))
-        assert r"[\Delta_1, d] = d \;\checkmark" in rendered.splitlines()
-
-    def test_failed_rows_use_crosses(self):
-        report = RelationReport(
-            chart=Chart("LF", (Generator("x", EVEN),)),
-            order=1,
-            rows=(RelationRow(1, "Delta1", "d", "d", False),),
-        )
-        assert emit_latex(report) == r"[\Delta_1, d] = d \;\times"
+    def test_relation_reports_are_spelled_only_by_the_cli(self):
+        report = verify_relations(Chart("LR", (Generator("x", EVEN),)), 1)
+        with pytest.raises(TypeError, match="RelationReport"):
+            emit_latex(report)
+        with pytest.raises(TypeError, match="RelationReport"):
+            print_canonical(report)
 
     def test_fraction_coefficients(self):
         chart = Chart("LC", (Generator("x", EVEN),))

@@ -4,14 +4,14 @@
     python tools/mutate.py NAME ...   # only the named ones
 
 A mutant is a name, a file under src/, an exact source snippet, its
-replacement and the test files that must catch it. For each mutant the
-script copies src/ to a temporary directory, applies that one replacement
-and runs the test files against the copy. The test files first run once
-against an unchanged copy, which must pass. Exit status: 0 when every mutant
-is caught, 1 when one survives or the unchanged copy fails, 2 when a snippet
-does not occur exactly once, so that a refactor cannot disarm a mutant
-without notice. Standard library only; it needs pytest and hypothesis, as
-the tests do.
+replacement and the test files (or pytest node ids) that must catch it.
+For each mutant the script copies src/ to a temporary directory, applies
+that one replacement and runs the test files against the copy. The test
+files first run once against an unchanged copy, which must pass. Exit
+status: 0 when every mutant is caught, 1 when one survives or the
+unchanged copy fails, 2 when a snippet does not occur exactly once, so that
+a refactor cannot disarm a mutant without notice. Standard library only;
+it needs pytest and hypothesis, as the tests do.
 """
 
 from __future__ import annotations
@@ -149,9 +149,23 @@ MUTANTS = (
     Mutant(
         "literal-digits-unbounded",
         "sjet/dsl.py",
-        'if max(map(len, text.split("/"))) > MAX_DIGITS:',
+        'if max(len(part) for part in match.groups("")) > MAX_DIGITS:',
         "if False:",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::TestExitCodes",),
+    ),
+    Mutant(
+        "rational-option-unbounded",
+        "sjet/dsl.py",
+        'if max(len(part) for part in match.groups("")) > MAX_DIGITS:',
+        "if False:",
+        ("tests/test_cli.py::TestRationalOptions",),
+    ),
+    Mutant(
+        "value-equality-skips-a-slot",
+        "sjet/geometry.py",
+        "for n in type(self).__slots__)",
+        "for n in type(self).__slots__[1:])",
+        ("tests/test_types.py",),
     ),
     Mutant(
         "rendered-digits-unbounded",
