@@ -32,6 +32,7 @@ from sjet import (
     prolong_morphism,
     verify_relations,
 )
+from sjet.cli import run
 from sjet.dsl import (
     MAX_EXPONENT,
     MAX_NESTING,
@@ -293,6 +294,26 @@ LOCATED_ERRORS = {
         "chart M (x: even);\nfield D on M order 1 parity odd { d/d x@1 = x@0; }",
         ("parity violation",), (2, 39),
     ),
+    "rational field order": (
+        "chart M (x: even);\nfield D on M order 1/2 parity even { d/d x = x; }",
+        ("the order must be an integer",), (2, 20),
+    ),
+    "unknown parity": (
+        "chart M (x: big);",
+        ("expected 'even' or 'odd', found 'big'",), (1, 13),
+    ),
+    "undeclared target chart": (
+        "chart M (x: even);\nmorphism f : M -> Q { x = x; }",
+        ("chart 'Q' is not declared",), (2, 19),
+    ),
+    "empty body": (
+        "chart M (x: even);\nmorphism f : M -> M { }",
+        ("a body needs at least one assignment",), (2, 23),
+    ),
+    "rational exponent": (
+        "chart M (x: even);\nmorphism f : M -> M { x = x^1/2; }",
+        ("powers must be nonnegative integers",), (2, 29),
+    ),
 }
 
 
@@ -303,6 +324,18 @@ class TestDiagnosticLocations:
         with pytest.raises(DslError) as exc:
             parse(text)
         (d,) = exc.value.diagnostics
+        for message in messages:
+            assert message in d.message
+        assert (d.line, d.column) == where
+
+    @pytest.mark.parametrize("case", LOCATED_ERRORS)
+    def test_each_error_is_exit_two_at_its_location(self, case, tmp_path):
+        text, messages, where = LOCATED_ERRORS[case]
+        path = tmp_path / "bad.sman"
+        path.write_text(text, encoding="utf-8")
+        result = run(["check", str(path)])
+        assert (result.exit_code, result.payload) == (2, "")
+        (d,) = result.diagnostics
         for message in messages:
             assert message in d.message
         assert (d.line, d.column) == where

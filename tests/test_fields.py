@@ -118,6 +118,13 @@ class TestVectorFieldConstruction:
         with pytest.raises(AlgebraError):
             VectorField(M, EVEN, {Generator("alien", EVEN): const(1)})
 
+    def test_value_with_a_foreign_generator_is_rejected(self):
+        stray = Generator("fstray", EVEN)
+        message = "^value on 'fx' uses generators outside 'FM': fstray$"
+        with pytest.raises(AlgebraError, match=message) as exc:
+            VectorField(M, EVEN, {X: poly(stray)})
+        assert exc.value.subject == X.name
+
     def test_missing_coordinates_default_to_zero(self):
         field = VectorField(M, ODD, {X: poly(TH)})
         assert field.values[TH].is_zero()

@@ -6,6 +6,7 @@ from sjet import (
     AlgebraError,
     Chart,
     ComparisonError,
+    CompositionError,
     CoverageError,
     EVEN,
     Generator,
@@ -91,6 +92,11 @@ class TestMorphisms:
             assert compose(compose(phi, psi), chi) == compose(
                 phi, compose(psi, chi)
             )
+
+    def test_composition_needs_the_charts_to_line_up(self):
+        phi = Morphism(M, N, {Y: poly(X), XI: poly(TH)})
+        with pytest.raises(CompositionError, match="^cannot compose: 'N' is not 'M'$"):
+            compose(phi, phi)
 
     def test_missing_target_coordinate_is_rejected(self):
         with pytest.raises(CoverageError):
@@ -187,6 +193,14 @@ class TestPointsAndEvaluation:
             SPoint(M, params, {X: const(0), TH: poly(e), Y: const(1)})
         assert exc.value.subject == Y.name
 
+    def test_point_value_with_a_foreign_generator_is_rejected(self):
+        e, stray = Generator("xf", ODD), Generator("xstray", ODD)
+        params = ParameterAlgebra("P6", (e,))
+        message = "^value on 'gth' uses generators outside 'P6': xstray$"
+        with pytest.raises(AlgebraError, match=message) as exc:
+            SPoint(M, params, {X: const(0), TH: poly(stray)})
+        assert exc.value.subject == TH.name
+
 
 def _one_even_curve(series):
     s0 = Generator("cs0", EVEN)
@@ -263,6 +277,36 @@ class TestJets:
         with pytest.raises(AlgebraError) as exc:
             Jet(chart, 0, {jx: (const(1),), X: (const(1),)})
         assert exc.value.subject == X.name
+
+    def test_curve_value_with_a_foreign_generator_is_rejected(self):
+        stray = Generator("jstray", EVEN)
+        params = ParameterAlgebra("JP7", ())
+        chart = Chart("J7", (Generator("jx7", EVEN),))
+        jx = chart.coordinate("jx7")
+        message = "^value on 'jx7' uses generators outside 'JP7': jstray$"
+        with pytest.raises(AlgebraError, match=message) as exc:
+            SCurve(chart, params, 1, {jx: TimeSeries([1, poly(stray)])})
+        assert exc.value.subject == "jx7"
+
+    def test_curve_orders_are_checked(self):
+        params = ParameterAlgebra("JP8", ())
+        chart = Chart("J8", (Generator("jx8", EVEN),))
+        jx = chart.coordinate("jx8")
+        message = "^curve order must be nonnegative, got -1$"
+        with pytest.raises(OrderError, match=message):
+            SCurve(chart, params, -1, {jx: TimeSeries([1])})
+        message = "^component 'jx8' has order 1, expected 2$"
+        with pytest.raises(OrderError, match=message) as exc:
+            SCurve(chart, params, 2, {jx: TimeSeries([1, 0])})
+        assert exc.value.subject == "jx8"
+
+    def test_jet_entry_length_is_checked(self):
+        chart = Chart("J9", (Generator("jx9", EVEN),))
+        jx = chart.coordinate("jx9")
+        message = "^jet entry for 'jx9' has 1 coefficients, expected 2$"
+        with pytest.raises(OrderError, match=message) as exc:
+            Jet(chart, 1, {jx: (const(1),)})
+        assert exc.value.subject == "jx9"
 
     def test_jet_entry_parity_is_checked(self):
         chart = Chart("J6", (Generator("jx6", EVEN), Generator("jth6", ODD)))

@@ -105,6 +105,20 @@ MUTANTS = (
         ("tests/test_geometry.py", "tests/test_fields.py"),
     ),
     Mutant(
+        "foreign-generator-accepted",
+        "sjet/geometry.py",
+        'names = "" if allowed is None else foreign_names(p, allowed)',
+        'names = ""',
+        ("tests/test_geometry.py", "tests/test_fields.py"),
+    ),
+    Mutant(
+        "compose-charts-unchecked",
+        "sjet/geometry.py",
+        "if psi.target is not phi.source:",
+        "if False:",
+        ("tests/test_geometry.py",),
+    ),
+    Mutant(
         "image-parity-unchecked",
         "sjet/grassmann.py",
         "if not all(p.is_homogeneous(g.parity) for p in parts(value)):",
