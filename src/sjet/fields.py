@@ -18,7 +18,6 @@ which verify_relations recomputes exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
 from typing import Mapping, NamedTuple
 
 from .errors import AlgebraError, DomainError, ParityError
@@ -30,15 +29,13 @@ from .grassmann import (
     Parity,
     Scalar,
     SuperPolynomial,
-    _mul_into,
+    _derive_into,
     _settled,
-    partial,
+    derivation,
+    partial,  # unused here; bench/spans.py traces fields.partial
     poly,
 )
 from .prolongation import antitangent_chart, prolong_chart
-
-
-_INDEX = attrgetter("index")
 
 
 class VectorField(_Value):
@@ -78,20 +75,7 @@ class VectorField(_Value):
             raise AlgebraError(
                 f"function uses generators outside '{self.chart.name}': {names}"
             )
-        sums: list[dict] = [{}]
-        self._apply_into(sums, f, 1)
-        return _settled(sums[0])
-
-    def _apply_into(self, sums: list[dict], f: SuperPolynomial, scale) -> None:
-        """Add scale * X(f) into the raw sums ``sums[0]`` (see ``_mul_into``).
-
-        Visits only the generators of f, in declaration order; f must use
-        only coordinates of the chart.
-        """
-        for g in sorted(f.generators(), key=_INDEX):
-            value = self.values[g]
-            if value:
-                _mul_into(sums, (value,), (partial(f, g),), scale)
+        return derivation(f, self.values)
 
     __call__ = apply
 
@@ -118,11 +102,6 @@ class VectorField(_Value):
             {g: -v for g, v in self.values.items()},
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self + (-other)
-
     def __rmul__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
@@ -143,10 +122,10 @@ def bracket(X: VectorField, Y: VectorField) -> VectorField:
     koszul = -1 if (X.parity is ODD and Y.parity is ODD) else 1
     values = {}
     for g in X.chart.coordinates:
-        sums: list[dict] = [{}]
-        X._apply_into(sums, Y.values[g], 1)
-        Y._apply_into(sums, X.values[g], -koszul)
-        values[g] = _settled(sums[0])
+        sums: dict = {}
+        _derive_into(sums, Y.values[g], X.values)
+        _derive_into(sums, X.values[g], Y.values, -koszul)
+        values[g] = _settled(sums)
     # the bracket of two valid fields is valid: no re-validation
     return VectorField._trusted(X.chart, X.parity + Y.parity, values)
 
@@ -187,8 +166,6 @@ def canonical_fields(chart: Chart, k: int) -> CanonicalFields:
     All five live on the parity-reversed lift of the k-th jet chart of
     ``chart``. J is identically zero at k = 0.
     """
-    if k < 0:
-        raise DomainError(f"jet order must be nonnegative, got {k}")
     jets = prolong_chart(chart, k)
     ambient = antitangent_chart(jets)
 

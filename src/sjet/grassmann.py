@@ -358,9 +358,6 @@ class SuperPolynomial:
     def __bool__(self):
         return bool(self._terms)
 
-    def __pos__(self):
-        return self
-
     def __neg__(self):
         return SuperPolynomial({m: -c for m, c in self._terms.items()})
 
@@ -381,12 +378,6 @@ class SuperPolynomial:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_polynomial(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, SuperPolynomial):
@@ -570,40 +561,57 @@ def partial(f: SuperPolynomial, v: Generator) -> SuperPolynomial:
     return _settled(data)
 
 
-def differential(
-    f: SuperPolynomial, d: Mapping[Generator, Generator]
-) -> SuperPolynomial:
-    """The sum over the generators x of f that d maps of d[x] times the left
-    partial of f in x, d[x] on the left, built in one walk over the terms of
-    f. A generator that d does not map is a constant."""
-    sums: dict[Monomial, Scalar] = {}
+def _derive_into(
+    sums: dict, f: SuperPolynomial, values: Mapping, scale: Scalar = 1
+) -> None:
+    """Add scale * (the sum over the generators x of f of values[x] times the
+    left partial of f in x) into the raw coefficient sums, values on the left.
+
+    One walk over the terms of f; a generator with no value is a constant.
+    This is the one derivation: ``VectorField.apply``, ``bracket`` and the
+    parity-reversed lift all call it.
+    """
     get = sums.get
-    image = d.get
-
-    def add(dx: Generator, even: tuple, odd: tuple, c: Scalar) -> None:
-        # c * dx * (even, odd), dx moved into canonical place
-        if dx.parity is ODD:
-            sign, odd = _merge_odd((dx,), odd)
-            if not sign:
-                return
-            if sign < 0:
-                c = -c
-        else:
-            even = _merge_even(((dx, 1),), even)
-        mono = _new_monomial((even, odd))
-        sums[mono] = get(mono, 0) + c
-
-    for (even, odd), c in f._terms.items():
+    value = values.get
+    terms = (
+        f._terms.items()
+        if scale == 1
+        else [(m, c * scale) for m, c in f._terms.items()]
+    )
+    for (even, odd), coeff in terms:
+        # (terms of the value, even part, odd part, coefficient) per partial
+        partials = []
         for pos, (x, _) in enumerate(even):
-            dx = image(x)
-            if dx is not None:
-                rest, ce = _even_partial(even, pos, c)
-                add(dx, rest, odd, ce)
+            v = value(x)
+            if v is not None and v._terms:
+                rest, c = _even_partial(even, pos, coeff)
+                partials.append((v._terms.items(), rest, odd, c))
         for pos, x in enumerate(odd):
-            dx = image(x)
-            if dx is not None:
-                rest, co = _odd_partial(odd, pos, c)
-                add(dx, even, rest, co)
+            v = value(x)
+            if v is not None and v._terms:
+                rest, c = _odd_partial(odd, pos, coeff)
+                partials.append((v._terms.items(), even, rest, c))
+        for value_terms, even_rest, odd_rest, c in partials:
+            for (ve, vo), cv in value_terms:
+                if vo and odd_rest:
+                    sign, o = _merge_odd(vo, odd_rest)
+                    if not sign:
+                        continue
+                else:
+                    sign, o = 1, vo or odd_rest
+                e = _merge_even(ve, even_rest) if ve and even_rest else ve or even_rest
+                mono = _new_monomial((e, o))
+                if sign > 0:
+                    sums[mono] = get(mono, 0) + cv * c
+                else:
+                    sums[mono] = get(mono, 0) - cv * c
+
+
+def derivation(f: SuperPolynomial, values: Mapping) -> SuperPolynomial:
+    """The sum over the generators x of f of values[x] times the left partial
+    of f in x, values on the left (see ``_derive_into``)."""
+    sums: dict[Monomial, Scalar] = {}
+    _derive_into(sums, f, values)
     return _settled(sums)
 
 
@@ -831,14 +839,10 @@ class TimeSeries:
         return TimeSeries._trusted(coeffs)
 
     def truncate(self, order: int) -> "TimeSeries":
-        if order < 0:
-            raise OrderError(f"series order must be nonnegative, got {order!r}")
-        if order >= self.order:
-            if order == self.order:
-                return self
-            return TimeSeries._trusted(
-                list(self._coeffs)
-                + [SuperPolynomial.zero()] * (order - self.order)
+        """The series cut off above t**order, for 0 <= order <= self.order."""
+        if not 0 <= order <= self.order:
+            raise OrderError(
+                f"a series of order {self.order} cannot be truncated to {order!r}"
             )
         return TimeSeries._trusted(self._coeffs[: order + 1])
 

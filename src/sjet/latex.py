@@ -15,14 +15,12 @@ from .geometry import Jet, Morphism
 from .grassmann import SuperPolynomial
 from .printer import coordinate_rows, render_terms
 
-_NAME = re.compile(r"^(d\.)?(.+?)(?:@(\d+))?$")
+# with DOTALL every nonempty name matches, so every generator name does
+_NAME = re.compile(r"^(d\.)?(.+?)(?:@(\d+))?$", re.DOTALL)
 
 
 def latex_name(name: str) -> str:
-    match = _NAME.match(name)
-    if match is None:
-        return name
-    differential, base, order = match.groups()
+    differential, base, order = _NAME.match(name).groups()
     if order is None or order == "0":
         body = base
     elif order == "1":

@@ -30,7 +30,7 @@ from .grassmann import (
     SuperPolynomial,
     TimeSeries,
     _as_polynomial,
-    differential,
+    derivation,
     partial,  # unused here; bench/spans.py traces prolongation.partial
     poly,
     series_compose,
@@ -177,12 +177,12 @@ def antitangent_morphism(phi: Morphism) -> Morphism:
     source = antitangent_chart(phi.source)
     target = antitangent_chart(phi.target)
     # generators outside the source chart (adjoined parameters) are constants
-    d = {x: source.differential_of(x) for x in phi.source.coordinates}
+    d = {x: poly(source.differential_of(x)) for x in phi.source.coordinates}
     assignment = {}
     for y in phi.target.coordinates:
         f = phi.assignment[y]
         assignment[y] = f
-        assignment[target.differential_of(y)] = differential(f, d)
+        assignment[target.differential_of(y)] = derivation(f, d)
     return Morphism(source, target, assignment)
 
 

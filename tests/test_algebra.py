@@ -329,6 +329,15 @@ class TestTimeSeries:
         a = TimeSeries([1, 1])
         assert a * a == TimeSeries([1, 2])
 
+    def test_truncate_only_cuts_down(self):
+        series = TimeSeries([1, 2, 3])
+        assert series.truncate(0) == TimeSeries([1])
+        assert series.truncate(2) == series
+        for order in (-1, 3):
+            message = f"^a series of order 2 cannot be truncated to {order}$"
+            with pytest.raises(OrderError, match=message):
+                series.truncate(order)
+
 
 class TestSeriesComposition:
     def test_square_of_a_linear_series(self):

@@ -1,6 +1,9 @@
 """Graded derivations, superbrackets and the canonical field relations."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sjet import (
     AlgebraError,
@@ -23,6 +26,7 @@ from sjet import (
     verify_relations,
     weight_field,
 )
+from sjet.grassmann import _derive_into, _settled, derivation
 from support import parity_part, rand_chart, rand_poly, seeded
 
 X = Generator("fx", EVEN)
@@ -38,11 +42,11 @@ def rand_field(rng, chart, parity):
     return VectorField(chart, parity, values)
 
 
-def dense_apply(field, f):
-    """The sum over every chart coordinate g of field.values[g] * partial(f, g)."""
+def sum_over_partials(f, values):
+    """The sum over the generators g with a value of values[g] * partial(f, g)."""
     total = const(0)
-    for g in field.chart.coordinates:
-        total = total + field.values[g] * partial(f, g)
+    for g, value in values.items():
+        total = total + value * partial(f, g)
     return total
 
 
@@ -83,7 +87,7 @@ class TestApply:
                 chart = Chart(f"{chart.name}r", chart.coordinates[::-1])
             field = rand_field(rng, chart, rng.choice((EVEN, ODD)))
             f = rand_poly(rng, chart.coordinates, max_terms=4)
-            assert field.apply(f) == dense_apply(field, f)
+            assert field.apply(f) == sum_over_partials(f, field.values)
 
     def test_apply_of_a_sparse_field_on_a_lifted_chart(self):
         fields = canonical_fields(M, 3)
@@ -91,7 +95,17 @@ class TestApply:
         for _ in range(10):
             f = rand_poly(rng, fields.chart.coordinates, max_terms=4)
             for field in fields.by_name().values():
-                assert field.apply(f) == dense_apply(field, f)
+                assert field.apply(f) == sum_over_partials(f, field.values)
+
+    def test_multi_term_odd_values_with_a_repeated_factor(self):
+        x, a, b = Generator("dx", EVEN), Generator("da", ODD), Generator("db", ODD)
+        chart = Chart("FD", (x, a, b))
+        # d/d x of x*a is a, and (3/2*a + b) * a = b*a = -a*b since a*a = 0;
+        # the values on a and b default to zero
+        field = VectorField(chart, ODD, {x: Fraction(3, 2) * poly(a) + poly(b)})
+        f = poly(x) * poly(a)
+        assert field.apply(f) == -(poly(a) * poly(b))
+        assert field.apply(f) == sum_over_partials(f, field.values)
 
     def test_graded_leibniz_on_random_products(self):
         rng = seeded(71)
@@ -107,6 +121,39 @@ class TestApply:
                 assert field.apply(part * g) == field.apply(
                     part
                 ) * g + sign * (part * field.apply(g))
+
+
+class TestDerivation:
+    """``derivation`` against the sum over ``partial``, the reference."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_derivation_matches_the_sum_over_partials(self, seed):
+        rng = seeded(seed)
+        chart = rand_chart(rng, max_even=3, max_odd=3)
+        gens = chart.coordinates
+        # values of any parity, many with several odd terms over the same
+        # odd generators as f, rational coefficients, and some generators
+        # of f with no value at all
+        values = {
+            g: rand_poly(rng, gens, parity=rng.choice((EVEN, ODD, None)), max_terms=4)
+            for g in gens
+            if rng.random() < 0.7
+        }
+        f = rand_poly(rng, gens, max_terms=4)
+        expected = sum_over_partials(f, values)
+        assert derivation(f, values) == expected
+        scale = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        sums = {}
+        _derive_into(sums, f, values, scale)
+        assert _settled(sums) == scale * expected
+
+    def test_a_generator_with_no_value_is_a_constant(self):
+        x, a = Generator("cx", EVEN), Generator("ca", ODD)
+        f = Fraction(1, 3) * poly(x) ** 2 * poly(a)
+        assert derivation(f, {x: poly(a)}) == 0
+        assert derivation(f, {a: const(1)}) == Fraction(1, 3) * poly(x) ** 2
+        assert derivation(f, {}) == 0
 
 
 class TestVectorFieldConstruction:

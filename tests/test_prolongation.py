@@ -37,6 +37,8 @@ from support import (
     oracle_prolong_k2,
     rand_chart,
     rand_morphism,
+    rand_params,
+    rand_poly,
     seeded,
 )
 
@@ -264,10 +266,17 @@ class TestParityReversedLifts:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1))
     def test_one_pass_lift_matches_the_sum_over_partials(self, seed):
+        # rational coefficients; adjoined parameters are generators with no
+        # differential, so constants
         rng = seeded(seed)
         a = rand_chart(rng, max_even=3, max_odd=3)
         b = rand_chart(rng)
-        phi = rand_morphism(rng, a, b, max_terms=4)
+        gens = a.coordinates + rand_params(rng).generators
+        assignment = {
+            y: rand_poly(rng, gens, parity=y.parity, max_terms=4)
+            for y in b.coordinates
+        }
+        phi = Morphism(a, b, assignment)
         assert antitangent_morphism(phi) == oracle_antitangent_morphism(phi)
 
     def test_functoriality_of_the_parity_reversed_lift(self):

@@ -59,9 +59,9 @@ MUTANTS = (
     ),
     Mutant(
         "apply-drops-a-generator",
-        "sjet/fields.py",
-        "for g in sorted(f.generators(), key=_INDEX):",
-        "for g in sorted(f.generators(), key=_INDEX)[1:]:",
+        "sjet/grassmann.py",
+        "for pos, (x, _) in enumerate(even):",
+        "for pos, (x, _) in list(enumerate(even))[1:]:",
         ("tests/test_fields.py",),
     ),
     Mutant(
@@ -135,8 +135,8 @@ MUTANTS = (
     Mutant(
         "antitangent-left-sign-dropped",
         "sjet/grassmann.py",
-        "if sign < 0:\n                c = -c",
-        "if False:\n                c = -c",
+        "sums[mono] = get(mono, 0) - cv * c",
+        "sums[mono] = get(mono, 0) + cv * c",
         ("tests/test_prolongation.py",),
     ),
     Mutant(
