@@ -22,7 +22,9 @@ from sjet import (
     const,
     homothety,
     interchange,
+    parse,
     poly,
+    print_canonical,
     product_chart,
     product_morphism,
     product_prolong_identification,
@@ -262,6 +264,22 @@ class TestParityReversedLifts:
             - poly(d(y)) * poly(b)
             - poly(y) * poly(d(b))
         )
+
+    def test_lift_text_pins_the_odd_signs(self):
+        # d.y = sum(d.x * left partial); a and b are declared before d.x and
+        # d.y, so d.x*a = -a*d.x and the derivative in b passes a
+        doc = parse(
+            "chart M (x: even, y: even, a: odd, b: odd);\n"
+            "chart N (u: even, p: odd);\n"
+            "morphism f : M -> N { u = x^3*y + x*a*b + y^2; p = x^2*a + y*b; }"
+        )
+        text = print_canonical(antitangent_morphism(doc.morphisms["f"]))
+        assert text.splitlines() == [
+            "u = x^3*y + y^2 + x*a*b",
+            "p = x^2*a + y*b",
+            "d.u = x^3*d.y + 3*x^2*y*d.x + x*d.a*b - x*d.b*a + 2*y*d.y + a*b*d.x",
+            "d.p = x^2*d.a + y*d.b - 2*x*a*d.x - b*d.y",
+        ]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1))
