@@ -155,27 +155,6 @@ _new_monomial = functools.partial(tuple.__new__, Monomial)
 _EMPTY_MONOMIAL = Monomial()
 
 
-def _sort_odd(factors: Sequence[Generator]):
-    """Canonical order and sign of an odd factor sequence.
-
-    Returns (sign, tuple) where sign is 0 if a factor repeats (its square
-    vanishes). Sorting is by declaration index; the sign flips once per
-    adjacent transposition.
-    """
-    gens = list(factors)
-    sign = 1
-    for i in range(1, len(gens)):
-        j = i
-        while j > 0 and gens[j - 1].index > gens[j].index:
-            gens[j - 1], gens[j] = gens[j], gens[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(gens, gens[1:]):
-        if a is b:
-            return 0, None
-    return sign, tuple(gens)
-
-
 def _merge_odd(a: tuple[Generator, ...], b: tuple[Generator, ...]):
     """Merge two canonical odd tuples, counting transpositions."""
     if not a:
@@ -246,6 +225,31 @@ def _settled(sums: dict) -> "SuperPolynomial":
     return out
 
 
+def _product_into(sums: dict, terms_a, terms_b) -> None:
+    """Add the product of each term of ``terms_a`` with each term of
+    ``terms_b``, a's factors on the left, into the raw coefficient sums.
+
+    The terms are ``((even, odd), coefficient)`` pairs. This is the one loop
+    that multiplies terms: products, series products, powers and the
+    derivation all run it.
+    """
+    get = sums.get
+    for (ea, oa), ca in terms_a:
+        for (eb, ob), cb in terms_b:
+            if oa and ob:
+                sign, odd = _merge_odd(oa, ob)
+                if not sign:
+                    continue
+            else:
+                sign, odd = 1, oa or ob
+            even = _merge_even(ea, eb) if ea and eb else ea or eb
+            mono = _new_monomial((even, odd))
+            if sign > 0:
+                sums[mono] = get(mono, 0) + ca * cb
+            else:
+                sums[mono] = get(mono, 0) - ca * cb
+
+
 def _mul_into(sums: list[dict], a, b, scale: Scalar = 1) -> None:
     """Add scale * a * b into the raw coefficient sums, in place.
 
@@ -264,24 +268,8 @@ def _mul_into(sums: list[dict], a, b, scale: Scalar = 1) -> None:
         )
         for j in range(k - i):
             terms_b = b[j]._terms.items()
-            if not terms_b:
-                continue
-            data = sums[i + j]
-            get = data.get
-            for (ea, oa), ca in terms_a:
-                for (eb, ob), cb in terms_b:
-                    if oa and ob:
-                        sign, odd = _merge_odd(oa, ob)
-                        if not sign:
-                            continue
-                    else:
-                        sign, odd = 1, oa or ob
-                    even = _merge_even(ea, eb) if ea and eb else ea or eb
-                    mono = _new_monomial((even, odd))
-                    if sign > 0:
-                        data[mono] = get(mono, 0) + ca * cb
-                    else:
-                        data[mono] = get(mono, 0) - ca * cb
+            if terms_b:
+                _product_into(sums[i + j], terms_a, terms_b)
 
 
 class SuperPolynomial:
@@ -439,20 +427,10 @@ class SuperPolynomial:
                     (ck * c, Monomial(_merge_even(mk.even, mono.even), mono.odd))
                 )
             for j in range(min(n, reach + most), lowest - 1, -1):
-                level = levels[j]
-                get = level.get
                 for k in range(max(1, j - reach), min(j, most) + 1):
-                    source = levels[j - k]
-                    if not source:
-                        continue
                     ck, mk = powers[k]
-                    scale = math.comb(j, k) * ck
-                    for m, v in source.items():
-                        sign, odd = _merge_odd(mk.odd, m.odd)
-                        if not sign:
-                            continue
-                        product = Monomial(_merge_even(mk.even, m.even), odd)
-                        level[product] = get(product, 0) + sign * scale * v
+                    term = ((mk, math.comb(j, k) * ck),)
+                    _product_into(levels[j], term, levels[j - k].items())
             reach = min(n, reach + most)
         sums = levels[n]
         if odd_terms:
@@ -493,9 +471,9 @@ def normalize(
     """Canonical form of a sum of coefficient–factor-sequence terms.
 
     Factors may be listed in any order and mix parities freely. Odd factors
-    are sorted into declaration order with the accumulated sign; a repeated
-    odd factor kills the term. When ``scope`` is given, factors outside it
-    are rejected.
+    are merged into declaration order one at a time, with the accumulated
+    sign; a repeated odd factor kills the term. When ``scope`` is given,
+    factors outside it are rejected.
     """
     allowed = None if scope is None else set(scope)
     data: dict[Monomial, Scalar] = {}
@@ -505,16 +483,16 @@ def normalize(
         if not c:
             continue
         evens: dict[Generator, int] = {}
-        odds: list[Generator] = []
+        sign, odd = 1, ()
         for g in factors:
             if allowed is not None and g not in allowed:
                 raise DeclarationError(f"generator '{g.name}' is not declared here")
             if g.parity is ODD:
-                odds.append(g)
+                s, odd = _merge_odd(odd, (g,))
+                sign *= s
             else:
                 evens[g] = evens.get(g, 0) + 1
-        sign, odd = _sort_odd(odds)
-        if sign == 0:
+        if not sign:
             continue
         mono = Monomial(
             tuple(sorted(evens.items(), key=lambda ge: ge[0].index)),
@@ -571,7 +549,6 @@ def _derive_into(
     This is the one derivation: ``VectorField.apply``, ``bracket`` and the
     parity-reversed lift all call it.
     """
-    get = sums.get
     value = values.get
     terms = (
         f._terms.items()
@@ -579,32 +556,16 @@ def _derive_into(
         else [(m, c * scale) for m, c in f._terms.items()]
     )
     for (even, odd), coeff in terms:
-        # (terms of the value, even part, odd part, coefficient) per partial
-        partials = []
         for pos, (x, _) in enumerate(even):
             v = value(x)
             if v is not None and v._terms:
                 rest, c = _even_partial(even, pos, coeff)
-                partials.append((v._terms.items(), rest, odd, c))
+                _product_into(sums, v._terms.items(), (((rest, odd), c),))
         for pos, x in enumerate(odd):
             v = value(x)
             if v is not None and v._terms:
                 rest, c = _odd_partial(odd, pos, coeff)
-                partials.append((v._terms.items(), even, rest, c))
-        for value_terms, even_rest, odd_rest, c in partials:
-            for (ve, vo), cv in value_terms:
-                if vo and odd_rest:
-                    sign, o = _merge_odd(vo, odd_rest)
-                    if not sign:
-                        continue
-                else:
-                    sign, o = 1, vo or odd_rest
-                e = _merge_even(ve, even_rest) if ve and even_rest else ve or even_rest
-                mono = _new_monomial((e, o))
-                if sign > 0:
-                    sums[mono] = get(mono, 0) + cv * c
-                else:
-                    sums[mono] = get(mono, 0) - cv * c
+                _product_into(sums, v._terms.items(), (((even, rest), c),))
 
 
 def derivation(f: SuperPolynomial, values: Mapping) -> SuperPolynomial:
@@ -758,21 +719,20 @@ class TimeSeries:
 
         Powers of t above the order are truncated away.
         """
-        coeffs = [SuperPolynomial.zero() for _ in range(order + 1)]
-        for mono, coeff in p.items():
+        # distinct monomials split into distinct (degree, rest) pairs, so
+        # nothing accumulates
+        sums: list[dict] = [{} for _ in range(order + 1)]
+        for (even, odd), coeff in p.items():
             degree = 0
-            rest = mono.even
-            for pos, (g, e) in enumerate(mono.even):
+            rest = even
+            for pos, (g, e) in enumerate(even):
                 if g is TIME:
                     degree = e
-                    rest = mono.even[:pos] + mono.even[pos + 1 :]
+                    rest = even[:pos] + even[pos + 1 :]
                     break
-            if degree > order:
-                continue
-            coeffs[degree] = coeffs[degree] + SuperPolynomial(
-                {Monomial(rest, mono.odd): coeff}
-            )
-        return cls(coeffs)
+            if degree <= order:
+                sums[degree][_new_monomial((rest, odd))] = coeff
+        return cls(map(_settled, sums))
 
     @property
     def order(self) -> int:

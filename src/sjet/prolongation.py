@@ -220,7 +220,9 @@ def homothety(chart: ProlongedChart, lam: LambdaLike) -> Morphism:
     else:
         factor = _as_polynomial(lam)
         if factor is NotImplemented:
-            raise TypeError("homothety factor must be rational, generator or polynomial")
+            raise TypeError(
+                "homothety factor must be rational, generator or polynomial"
+            )
     if not factor.is_homogeneous(Parity.EVEN):
         raise ParityError("homothety factor must be even")
     powers = {w: factor ** w for w in {g.weight for g in chart.coordinates}}

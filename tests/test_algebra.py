@@ -321,6 +321,19 @@ class TestTimeSeries:
         cubic = poly(TIME) ** 3
         assert TimeSeries.from_polynomial(cubic, 2) == TimeSeries([0, 0, 0])
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_from_polynomial_round_trips_up_to_its_order(self, seed):
+        # when p has t-degree at most k, sum(s[r] * t^r) == p
+        rng = seeded(seed)
+        p = rand_poly(rng, (TIME,) + POOL, max_terms=6, max_even_power=3)
+        degree = max((e for m in p.terms for g, e in m.even if g is TIME), default=0)
+        order = degree + rng.randint(0, 2)
+        series = TimeSeries.from_polynomial(p, order)
+        assert series.order == order
+        t = poly(TIME)
+        assert sum((c * t**r for r, c in enumerate(series.coefficients)), const(0)) == p
+
     def test_shift_reexpands_binomially(self):
         series = TimeSeries([1, 2, 1])
         assert series.shift(1) == TimeSeries([4, 4, 1])

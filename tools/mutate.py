@@ -46,8 +46,8 @@ MUTANTS = (
     Mutant(
         "power-binomial",
         "sjet/grassmann.py",
-        "scale = math.comb(j, k) * ck",
-        "scale = ck",
+        "math.comb(j, k) * ck",
+        "ck",
         ("tests/test_algebra.py",),
     ),
     Mutant(
@@ -135,9 +135,30 @@ MUTANTS = (
     Mutant(
         "antitangent-left-sign-dropped",
         "sjet/grassmann.py",
-        "sums[mono] = get(mono, 0) - cv * c",
-        "sums[mono] = get(mono, 0) + cv * c",
+        "sums[mono] = get(mono, 0) - ca * cb",
+        "sums[mono] = get(mono, 0) + ca * cb",
         ("tests/test_prolongation.py",),
+    ),
+    Mutant(
+        "odd-partial-sign-dropped",
+        "sjet/grassmann.py",
+        "-c if pos % 2 else c",
+        "c",
+        ("tests/test_prolongation.py", "tests/test_fields.py"),
+    ),
+    Mutant(
+        "normalize-sign-reset",
+        "sjet/grassmann.py",
+        "sign *= s",
+        "sign = s",
+        ("tests/test_algebra.py",),
+    ),
+    Mutant(
+        "series-split-drops-top-order",
+        "sjet/grassmann.py",
+        "degree <= order",
+        "degree < order",
+        ("tests/test_algebra.py",),
     ),
     Mutant(
         "verdict-exit-dropped",
