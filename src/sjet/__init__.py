@@ -74,8 +74,8 @@ from .fields import (
     verify_relations,
     weight_field,
 )
-from .dsl import Diagnostic, Document, DslError, SourceSpan, format_document, parse
-from .printer import print_canonical
+from .dsl import Diagnostic, Document, DslError, SourceSpan, parse
+from .printer import format_document, print_canonical
 from .latex import emit_latex
 
 __version__ = "0.1.0"

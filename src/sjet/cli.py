@@ -1,13 +1,14 @@
 """Command line interface.
 
 Every command reads one document file, computes, and prints a deterministic
-payload to stdout: each command computes a Result, and _render writes it in
-the requested format. Exit codes: 0 on success, 1 only when a check of
-interchange or verify fails, 2 for any input or usage error, 3
-(EXIT_INTERNAL) for an internal error, that is a bug in sjet; it prints one
-line, and its traceback too when SJET_DEBUG=1. Diagnostics go to stderr; set
-SJET_COLOR=1 to colour them. Run as a program, a command whose stdout was
-closed before its output was written exits with 141 (EXIT_BROKEN_PIPE).
+payload to stdout: each command computes a value and its verdict rows, and
+_render writes them in the requested format. Exit codes: 0 on success, 1
+only when a check of interchange or verify fails, 2 for any input or usage
+error, 3 (EXIT_INTERNAL) for an internal error, that is a bug in sjet; it
+prints one line, and its traceback too when SJET_DEBUG=1. Diagnostics go to
+stderr; set SJET_COLOR=1 to colour them. Run as a program, a command whose
+stdout was closed before its output was written exits with 141
+(EXIT_BROKEN_PIPE).
 """
 
 from __future__ import annotations
@@ -165,8 +166,6 @@ def _parse_argv(argv: list[str]):
             if option.default is None:
                 return _usage(command, f"--{option.name} is required")
             values[option.name] = option.default
-    if "lambda" in values:  # a Python keyword, so not an attribute name
-        values["lam"] = values.pop("lambda")
     return SimpleNamespace(command=command, file=files[0], **values)
 
 
@@ -177,38 +176,31 @@ def _lookup(table: dict, name: str, what: str):
         raise SjetError(f"{what} '{name}' is not declared in the document") from None
 
 
-class Result:
-    """What a command computed. ``value`` is a Morphism, Jet or VectorField,
-    the summary line of ``check``, or None for ``verify``; ``checks`` holds
-    the verdict rows, each a dict with an ``ok`` entry."""
-
-    __slots__ = ("kind", "inputs", "value", "checks")
-
-    def __init__(self, kind: str, inputs: dict, value, checks=()):
-        self.kind, self.inputs, self.value, self.checks = kind, inputs, value, checks
+# Each command returns what it computed and its verdict rows. The value is a
+# Morphism, Jet or VectorField, the summary line of check, or None for verify;
+# each row is a dict with an "ok" entry.
 
 
-def _cmd_check(doc, args) -> Result:
+def _cmd_check(doc, args):
     counts = (
         f"{len(doc.charts)} charts, {len(doc.params)} parameter algebras, "
         f"{len(doc.morphisms)} morphisms, {len(doc.curves)} curves, "
         f"{len(doc.fields)} fields"
     )
-    return Result("check", {}, f"ok: {counts}")
+    return f"ok: {counts}", ()
 
 
-def _cmd_prolong(doc, args) -> Result:
+def _cmd_prolong(doc, args):
     phi = _lookup(doc.morphisms, args.morphism, "morphism")
-    inputs = {"morphism": args.morphism, "order": args.order}
-    return Result("prolong", inputs, prolong_morphism(phi, args.order))
+    return prolong_morphism(phi, args.order), ()
 
 
-def _cmd_pit(doc, args) -> Result:
+def _cmd_pit(doc, args):
     phi = _lookup(doc.morphisms, args.morphism, "morphism")
-    return Result("pit", {"morphism": args.morphism}, antitangent_morphism(phi))
+    return antitangent_morphism(phi), ()
 
 
-def _cmd_interchange(doc, args) -> Result:
+def _cmd_interchange(doc, args):
     chart = _lookup(doc.charts, args.chart, "chart")
     k = args.order
     renaming = interchange(chart, k)
@@ -225,32 +217,26 @@ def _cmd_interchange(doc, args) -> Result:
             renaming,
         )
         checks.append({"name": name, "ok": route_a == route_b})
-    return Result("interchange", {"chart": args.chart, "order": k}, renaming, checks)
+    return renaming, checks
 
 
-def _cmd_jet(doc, args) -> Result:
+def _cmd_jet(doc, args):
     curve = _lookup(doc.curves, args.curve, "curve")
-    at = Fraction(args.at)
-    inputs = {"curve": args.curve, "order": args.order, "at": str(at)}
-    return Result("jet", inputs, jet_of_curve(curve, args.order, at))
+    return jet_of_curve(curve, args.order, Fraction(args.at)), ()
 
 
-def _cmd_bracket(doc, args) -> Result:
+def _cmd_bracket(doc, args):
     left = _lookup(doc.fields, args.left, "field")
     right = _lookup(doc.fields, args.right, "field")
-    inputs = {"left": args.left, "right": args.right}
-    return Result("bracket", inputs, bracket(left, right))
+    return bracket(left, right), ()
 
 
-def _cmd_homothety(doc, args) -> Result:
+def _cmd_homothety(doc, args):
     chart = _lookup(doc.charts, args.chart, "chart")
     jets = prolong_chart(chart, args.order)
-    if args.lam == "symbolic":
-        lam = Generator("lambda", EVEN)
-    else:
-        lam = Fraction(args.lam)
-    inputs = {"chart": args.chart, "order": args.order, "lambda": args.lam}
-    return Result("homothety", inputs, homothety(jets, lam))
+    lam = getattr(args, "lambda")  # a Python keyword, so not an attribute name
+    lam = Generator("lambda", EVEN) if lam == "symbolic" else Fraction(lam)
+    return homothety(jets, lam), ()
 
 
 def _suite_relations(doc, k):
@@ -312,15 +298,15 @@ def _suite_weights(doc, k):
     return rows
 
 
-def _cmd_verify(doc, args) -> Result:
-    k = args.order
-    if args.suite == "relations":
-        checks = _suite_relations(doc, k)
-    elif args.suite == "functorial":
-        checks = _suite_functorial(doc, k)
-    else:
-        checks = _suite_weights(doc, k)
-    return Result("verify", {"suite": args.suite, "order": k}, None, checks)
+_SUITES = {
+    "relations": _suite_relations,
+    "functorial": _suite_functorial,
+    "weights": _suite_weights,
+}
+
+
+def _cmd_verify(doc, args):
+    return None, _SUITES[args.suite](doc, args.order)
 
 
 _COMMANDS = {
@@ -356,9 +342,10 @@ def _verdict_line(row: dict) -> str:
     return f"{prefix}{row['check']} ... {status}"
 
 
-def _render(result: Result, fmt: str) -> CommandResult:
-    """``result`` written in the format ``fmt``; exit 1 when a check failed."""
-    value, checks = result.value, result.checks
+def _render(args, value, checks) -> CommandResult:
+    """A command's value and verdict rows written in the format of ``args``;
+    exit 1 when a check failed."""
+    fmt = getattr(args, "format", "text")
     code = 0 if all(row["ok"] for row in checks) else 1
     if fmt == "latex":
         return CommandResult(code, emit_latex(value))
@@ -369,11 +356,17 @@ def _render(result: Result, fmt: str) -> CommandResult:
             body = {"checks": checks, "passed": code == 0}
         else:
             body = dict(coordinate_rows(value, format_polynomial))
-            if result.kind == "interchange":
+            if args.command == "interchange":
                 body = {"assignments": body, "morphisms": checks}
+        # the inputs are the options in table order; --at is echoed as the
+        # rational it spells, every other option as typed
+        options = (o.name for o in _CLI[args.command][1] if o.name != "format")
+        inputs = {name: getattr(args, name) for name in options}
+        if "at" in inputs:
+            inputs["at"] = str(Fraction(inputs["at"]))
         payload = {
-            "kind": result.kind,
-            "inputs": result.inputs,
+            "kind": args.command,
+            "inputs": inputs,
             "result": body,
             "diagnostics": [],
         }
@@ -402,8 +395,8 @@ def run(argv) -> CommandResult:
         message = f"{args.file}: not valid UTF-8 at byte {exc.start}: {exc.reason}"
         return CommandResult(2, "", (Diagnostic(message),))
     try:
-        result = _COMMANDS[args.command](parse(text), args)
-        return _render(result, getattr(args, "format", "text"))
+        value, checks = _COMMANDS[args.command](parse(text), args)
+        return _render(args, value, checks)
     except DslError as exc:
         return CommandResult(2, "", tuple(exc.diagnostics))
     except SjetError as exc:

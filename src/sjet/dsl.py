@@ -51,9 +51,10 @@ from .grassmann import (
     SuperPolynomial,
     TIME,
     TimeSeries,
+    const,
     poly,
 )
-from .prolongation import AntitangentChart, antitangent_chart, prolong_chart
+from .prolongation import antitangent_chart, prolong_chart
 
 
 class SourceSpan(NamedTuple):
@@ -356,11 +357,12 @@ class _Parser:
         build = Chart if keyword[1] == "chart" else ParameterAlgebra
         self.declare(doc, keyword, name, where, build, name, tuple(generators))
 
-    def lookup_chart(self, doc: Document, token: _Token) -> Chart:
-        chart = doc.charts.get(token[1])
-        if chart is None:
-            self.fail(f"chart '{token[1]}' is not declared", token)
-        return chart
+    def lookup(self, table: dict, what: str, token: _Token):
+        """The value that ``token`` names in ``table``; a located error if none."""
+        value = table.get(token[1])
+        if value is None:
+            self.fail(f"{what} '{token[1]}' is not declared", token)
+        return value
 
     def parse_assignments(self, chart: Chart, resolver, ddt: bool = False):
         """Parse '{' ('d/d'? lhs '=' expr ';')+ '}' with a resolver for expr names.
@@ -396,23 +398,20 @@ class _Parser:
 
     def parse_morphism(self, doc: Document, keyword: _Token, name: str):
         self.expect(":")
-        source = self.lookup_chart(doc, self.expect("IDENT", "a source chart"))
+        charts = doc.charts
+        source = self.lookup(charts, "chart", self.expect("IDENT", "a source chart"))
         self.expect("ARROW", "'->'")
-        target = self.lookup_chart(doc, self.expect("IDENT", "a target chart"))
+        target = self.lookup(charts, "chart", self.expect("IDENT", "a target chart"))
         resolver = {g.name: g for g in source.coordinates}
         values, where = self.parse_assignments(target, resolver)
         self.declare(doc, keyword, name, where, Morphism, source, target, values)
 
     def parse_curve(self, doc: Document, keyword: _Token, name: str):
         self.expect_keyword("on")
-        chart = self.lookup_chart(doc, self.expect("IDENT", "a chart name"))
+        chart = self.lookup(doc.charts, "chart", self.expect("IDENT", "a chart name"))
         self.expect_keyword("params")
-        params_token = self.expect("IDENT", "a parameter algebra name")
-        params = doc.params.get(params_token[1])
-        if params is None:
-            self.fail(
-                f"parameter algebra '{params_token[1]}' is not declared", params_token
-            )
+        token = self.expect("IDENT", "a parameter algebra name")
+        params = self.lookup(doc.params, "parameter algebra", token)
         self.expect_keyword("order")
         order = self.expect_order()
         resolver = {g.name: g for g in params.generators}
@@ -427,7 +426,7 @@ class _Parser:
 
     def parse_field(self, doc: Document, keyword: _Token, name: str):
         self.expect_keyword("on")
-        base = self.lookup_chart(doc, self.expect("IDENT", "a chart name"))
+        base = self.lookup(doc.charts, "chart", self.expect("IDENT", "a chart name"))
         order = self.expect_order() if self.accept_keyword("order") else None
         self.expect_keyword("parity")
         parity = self.expect_parity()
@@ -490,7 +489,7 @@ class _Parser:
                 value = rational_literal(text)
             except ValueError as exc:
                 self.fail(str(exc), token)
-            return SuperPolynomial.scalar(value)
+            return const(value)
         if kind == "IDENT":
             self.advance()
             generator = resolver.get(text)
@@ -510,46 +509,3 @@ class _Parser:
 def parse(text: str) -> Document:
     """Parse a document, raising DslError with located diagnostics."""
     return _Parser(text).parse_document()
-
-
-def format_document(doc: Document) -> str:
-    """Canonical re-rendering of a document; parsing it back is the identity."""
-    from .printer import coordinate_rows, format_polynomial, format_series
-
-    def coord_list(generators) -> str:
-        return ", ".join(f"{g.name}: {g.parity}" for g in generators)
-
-    def body(head: str, rows, label: str = "") -> str:
-        return "\n".join([head, *(f"  {label}{n} = {v};" for n, v in rows), "}"])
-
-    blocks = []
-    for kind, name in doc.declarations:
-        if kind == "chart":
-            chart = doc.charts[name]
-            blocks.append(f"chart {name} ({coord_list(chart.coordinates)});")
-        elif kind == "params":
-            algebra = doc.params[name]
-            blocks.append(f"params {name} ({coord_list(algebra.generators)});")
-        elif kind == "morphism":
-            phi = doc.morphisms[name]
-            head = f"morphism {name} : {phi.source.name} -> {phi.target.name} {{"
-            blocks.append(body(head, coordinate_rows(phi, format_polynomial)))
-        elif kind == "curve":
-            curve = doc.curves[name]
-            head = (
-                f"curve {name} on {curve.chart.name} params {curve.params.name} "
-                f"order {curve.order} {{"
-            )
-            blocks.append(body(head, coordinate_rows(curve, format_series)))
-        elif kind == "field":
-            vf = doc.fields[name]
-            on = vf.chart.name
-            # a field declared with "order k" lives on PiT(Tk(base))
-            if isinstance(vf.chart, AntitangentChart):
-                on = f"{vf.chart.base.base.name} order {vf.chart.base.order}"
-            head = f"field {name} on {on} parity {vf.parity} {{"
-            rows = coordinate_rows(vf, format_polynomial)
-            # only the zero polynomial renders as 0; an empty body cannot parse
-            nonzero = [(n, v) for n, v in rows if v != "0"] or rows[:1]
-            blocks.append(body(head, nonzero, "d/d "))
-    return "\n".join(blocks) + ("\n" if blocks else "")

@@ -57,7 +57,7 @@ class VectorField(_Value):
         self.chart = chart
         self.parity = parity
         self.values = values_on(
-            chart, values, parity, allowed=chart, default=SuperPolynomial.zero()
+            chart, values, parity, allowed=chart, default=SuperPolynomial()
         )
 
     @classmethod

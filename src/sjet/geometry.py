@@ -79,7 +79,7 @@ class Chart(_Frozen):
 
     def __repr__(self):
         n, m = self.dimension
-        return f"Chart({self.name!r}, dim=({n}|{m}))"
+        return f"{type(self).__name__}({self.name!r}, dim=({n}|{m}))"
 
 
 class ParameterAlgebra(_Frozen):

@@ -138,10 +138,6 @@ class Monomial(tuple):
         w = sum(g.weight * e for g, e in self.even)
         return w + sum(g.weight for g in self.odd)
 
-    def max_factor_weight(self) -> int:
-        weights = [g.weight for g, _ in self.even] + [g.weight for g in self.odd]
-        return max(weights, default=0)
-
     def generators(self):
         for g, _ in self.even:
             yield g
@@ -159,8 +155,6 @@ def _merge_odd(a: tuple[Generator, ...], b: tuple[Generator, ...]):
     """Merge two canonical odd tuples, counting transpositions."""
     if not a:
         return 1, b
-    if not b:
-        return 1, a
     out = []
     sign = 1
     i = j = 0
@@ -186,8 +180,6 @@ def _merge_even(a, b):
     """Merge two canonical even parts, adding the exponents of shared generators."""
     if not a:
         return b
-    if not b:
-        return a
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
@@ -286,26 +278,6 @@ class SuperPolynomial:
                     data[mono] = c
         self._terms = data
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "SuperPolynomial":
-        return cls()
-
-    @classmethod
-    def scalar(cls, value: Scalar) -> "SuperPolynomial":
-        return cls({_EMPTY_MONOMIAL: _coerce_scalar(value)})
-
-    @classmethod
-    def one(cls) -> "SuperPolynomial":
-        return cls.scalar(1)
-
-    @classmethod
-    def generator(cls, g: Generator) -> "SuperPolynomial":
-        if g.parity is ODD:
-            return cls({Monomial(odd=(g,)): 1})
-        return cls({Monomial(even=((g, 1),)): 1})
-
     # -- inspection ------------------------------------------------------
 
     @property
@@ -340,7 +312,7 @@ class SuperPolynomial:
         if isinstance(other, SuperPolynomial):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == SuperPolynomial.scalar(other)._terms
+            return self._terms == const(other)._terms
         return NotImplemented
 
     def __bool__(self):
@@ -396,7 +368,7 @@ class SuperPolynomial:
             )
         n = exponent
         if n == 0:
-            return SuperPolynomial.one()
+            return const(1)
         if len(self._terms) == 1:
             ((mono, c),) = self._terms.items()
             if mono.odd and n > 1:
@@ -451,17 +423,20 @@ def _as_polynomial(value):
     if isinstance(value, SuperPolynomial):
         return value
     if isinstance(value, (int, Fraction)):
-        return SuperPolynomial.scalar(value)
+        return const(value)
     return NotImplemented
 
 
 def poly(g: Generator) -> SuperPolynomial:
     """The generator g as a polynomial."""
-    return SuperPolynomial.generator(g)
+    if g.parity is ODD:
+        return SuperPolynomial({Monomial(odd=(g,)): 1})
+    return SuperPolynomial({Monomial(even=((g, 1),)): 1})
 
 
 def const(value: Scalar) -> SuperPolynomial:
-    return SuperPolynomial.scalar(value)
+    """The scalar ``value`` as a polynomial; 0 gives ``SuperPolynomial()``."""
+    return SuperPolynomial({_EMPTY_MONOMIAL: value})
 
 
 def normalize(
@@ -670,7 +645,7 @@ def substitute(
     parity. Factors are multiplied in canonical monomial order, so the result
     is independent of how f was originally written down.
     """
-    return _evaluate(f, assignment, SuperPolynomial.one())
+    return _evaluate(f, assignment, const(1))
 
 
 class TimeSeries:
@@ -710,7 +685,7 @@ class TimeSeries:
 
     @classmethod
     def constant(cls, value: SuperPolynomial | Scalar, order: int) -> "TimeSeries":
-        coeffs = [value] + [SuperPolynomial.zero()] * order
+        coeffs = [value] + [SuperPolynomial()] * order
         return cls(coeffs)
 
     @classmethod

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dsl import MAX_DIGITS
+from .dsl import MAX_DIGITS, Document
 from .errors import DomainError
 from .fields import VectorField
 from .geometry import Jet, Morphism, SCurve, SPoint
 from .grassmann import Monomial, SuperPolynomial, TIME, TimeSeries
+from .prolongation import AntitangentChart
 
 
 def _monomial_key(m: Monomial) -> tuple:
@@ -118,10 +119,50 @@ def format_field(field: VectorField) -> str:
     return "\n".join(f"d/d {n} = {v}" for n, v in rows)
 
 
+def format_document(doc: Document) -> str:
+    """Canonical re-rendering of a document; parsing it back is the identity."""
+
+    def coord_list(generators) -> str:
+        return ", ".join(f"{g.name}: {g.parity}" for g in generators)
+
+    def body(head: str, rows, label: str = "") -> str:
+        return "\n".join([head, *(f"  {label}{n} = {v};" for n, v in rows), "}"])
+
+    blocks = []
+    for kind, name in doc.declarations:
+        if kind == "chart":
+            chart = doc.charts[name]
+            blocks.append(f"chart {name} ({coord_list(chart.coordinates)});")
+        elif kind == "params":
+            algebra = doc.params[name]
+            blocks.append(f"params {name} ({coord_list(algebra.generators)});")
+        elif kind == "morphism":
+            phi = doc.morphisms[name]
+            head = f"morphism {name} : {phi.source.name} -> {phi.target.name} {{"
+            blocks.append(body(head, coordinate_rows(phi, format_polynomial)))
+        elif kind == "curve":
+            curve = doc.curves[name]
+            head = (
+                f"curve {name} on {curve.chart.name} params {curve.params.name} "
+                f"order {curve.order} {{"
+            )
+            blocks.append(body(head, coordinate_rows(curve, format_series)))
+        elif kind == "field":
+            vf = doc.fields[name]
+            on = vf.chart.name
+            # a field declared with "order k" lives on PiT(Tk(base))
+            if isinstance(vf.chart, AntitangentChart):
+                on = f"{vf.chart.base.base.name} order {vf.chart.base.order}"
+            head = f"field {name} on {on} parity {vf.parity} {{"
+            rows = coordinate_rows(vf, format_polynomial)
+            # only the zero polynomial renders as 0; an empty body cannot parse
+            nonzero = [(n, v) for n, v in rows if v != "0"] or rows[:1]
+            blocks.append(body(head, nonzero, "d/d "))
+    return "\n".join(blocks) + ("\n" if blocks else "")
+
+
 def print_canonical(obj) -> str:
     """Canonical text of any printable engine value."""
-    from .dsl import Document, format_document
-
     if isinstance(obj, Document):
         return format_document(obj)
     if isinstance(obj, SuperPolynomial):

@@ -51,10 +51,6 @@ class ProlongedChart(Chart):
         """The jet coordinate of a base coordinate at order r."""
         return self._jets[(base_coordinate, r)]
 
-    def __repr__(self):
-        n, m = self.dimension
-        return f"ProlongedChart({self.name!r}, order={self.order}, dim=({n}|{m}))"
-
 
 class AntitangentChart(Chart):
     """Chart extended by one parity-flipped differential per coordinate."""
@@ -71,10 +67,6 @@ class AntitangentChart(Chart):
     @property
     def differentials(self) -> tuple[Generator, ...]:
         return self.coordinates[len(self.base.coordinates) :]
-
-    def __repr__(self):
-        n, m = self.dimension
-        return f"AntitangentChart({self.name!r}, dim=({n}|{m}))"
 
 
 def _kept_with_base(build):
@@ -163,7 +155,7 @@ def zero_section(chart: ProlongedChart) -> Morphism:
     for g in chart.base.coordinates:
         assignment[chart.jet(g, 0)] = poly(lowest.jet(g, 0))
         for r in range(1, chart.order + 1):
-            assignment[chart.jet(g, r)] = SuperPolynomial.zero()
+            assignment[chart.jet(g, r)] = SuperPolynomial()
     return Morphism(lowest, chart, assignment)
 
 
@@ -244,10 +236,6 @@ class ProductChart(Chart):
 
     def from_right(self, g: Generator) -> Generator:
         return self._right_map[g]
-
-    def __repr__(self):
-        n, m = self.dimension
-        return f"ProductChart({self.name!r}, dim=({n}|{m}))"
 
 
 @_kept_with_base
@@ -336,6 +324,6 @@ def weight_report(phi: Morphism) -> WeightReport:
     for y in phi.target.coordinates:
         p = phi.assignment[y]
         homogeneous = all(m.weight == y.weight for m, _ in p.items())
-        triangular = all(m.max_factor_weight() <= y.weight for m, _ in p.items())
+        triangular = all(g.weight <= y.weight for g in p.generators())
         rows.append(WeightCheck(y, homogeneous, triangular))
     return WeightReport(tuple(rows))

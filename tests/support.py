@@ -129,7 +129,7 @@ def oracle_antitangent_morphism(phi):
     for y in phi.target.coordinates:
         f = phi.assignment[y]
         assignment[y] = f
-        total = SuperPolynomial.zero()
+        total = SuperPolynomial()
         for x in phi.source.coordinates:
             total = total + poly(source.differential_of(x)) * partial(f, x)
         assignment[target.differential_of(y)] = total

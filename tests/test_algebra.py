@@ -544,3 +544,41 @@ class TestKernel:
             direct._hash = 0
         with pytest.raises(AttributeError):
             del direct.odd
+
+
+KERNEL_REFUSALS = {
+    "empty-name": (
+        lambda: Generator("", EVEN),
+        DeclarationError,
+        "generator name must be nonempty",
+    ),
+    "no-coefficients": (
+        lambda: TimeSeries([]),
+        OrderError,
+        "a series needs at least its constant coefficient",
+    ),
+    "text-coefficient": (
+        lambda: TimeSeries(["x"]),
+        TypeError,
+        "series coefficients must be polynomials or rationals",
+    ),
+    "float-scalar": (
+        lambda: const(1.5),
+        TypeError,
+        "expected an exact rational, got float",
+    ),
+    "series-orders": (
+        lambda: TimeSeries([1]) + TimeSeries([1, 2]),
+        OrderError,
+        "series orders differ: 0 vs 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, error, message", KERNEL_REFUSALS.values(),
+                         ids=KERNEL_REFUSALS)
+def test_malformed_kernel_input_is_refused(build, error, message):
+    with pytest.raises(error) as refused:
+        build()
+    assert type(refused.value) is error
+    assert str(refused.value) == message

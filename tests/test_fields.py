@@ -359,3 +359,23 @@ class TestRelationSuite:
     def test_order_zero_is_rejected(self):
         with pytest.raises(DomainError):
             verify_relations(M, 0)
+
+
+FIELD_SUM_REFUSALS = {
+    "across-charts": (
+        Chart("FM2", (Generator("fx2", EVEN),)),
+        EVEN,
+        AlgebraError,
+        "cannot add fields on different charts",
+    ),
+    "across-parities": (M, ODD, ParityError, "cannot add fields of different parities"),
+}
+
+
+@pytest.mark.parametrize("chart, parity, error, message", FIELD_SUM_REFUSALS.values(),
+                         ids=FIELD_SUM_REFUSALS)
+def test_fields_add_only_on_one_chart_and_parity(chart, parity, error, message):
+    with pytest.raises(error) as refused:
+        VectorField(M, EVEN, {}) + VectorField(chart, parity, {})
+    assert type(refused.value) is error
+    assert str(refused.value) == message

@@ -451,3 +451,37 @@ class TestReparameterisation:
                 },
             )
             assert left == right
+
+
+def geometry_refusals():
+    params = ParameterAlgebra("RP", ())
+    chart = Chart("RC", (Generator("rx", EVEN),))
+    (rx,) = chart.coordinates
+    gamma = SCurve(chart, params, 1, {rx: TimeSeries([0, 1])})
+    other = SCurve(chart, ParameterAlgebra("RQ", ()), 1, {rx: TimeSeries([0, 1])})
+    return {
+        "non-polynomial-value": (
+            lambda: Morphism(M, N, {Y: "1", XI: poly(TH)}),
+            TypeError,
+            "the value on 'gy' must be a polynomial",
+        ),
+        "negative-jet-order": (
+            lambda: jet_of_curve(gamma, -1),
+            OrderError,
+            "jet order must be nonnegative, got -1",
+        ),
+        "contact-across-parameters": (
+            lambda: contact_equal(gamma, other, 1),
+            ComparisonError,
+            "curves use different parameter algebras",
+        ),
+    }
+
+
+@pytest.mark.parametrize("build, error, message", geometry_refusals().values(),
+                         ids=geometry_refusals())
+def test_malformed_geometry_input_is_refused(build, error, message):
+    with pytest.raises(error) as refused:
+        build()
+    assert type(refused.value) is error
+    assert str(refused.value) == message

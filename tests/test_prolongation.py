@@ -526,3 +526,12 @@ class TestWeights:
         )
         report = weight_report(bad)
         assert not report.valid
+
+
+def test_a_float_homothety_factor_is_refused():
+    with pytest.raises(TypeError) as refused:
+        homothety(prolong_chart(M, 1), 1.5)
+    assert type(refused.value) is TypeError
+    assert str(refused.value) == (
+        "homothety factor must be rational, generator or polynomial"
+    )

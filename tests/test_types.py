@@ -225,6 +225,45 @@ class TestIdentityTypes:
         assert product.from_right(GX).name == "TB2_tx"
 
 
+CHART_REPRS = {
+    "Chart": (lambda: BASE, "Chart('TB', dim=(1|1))"),
+    "ProlongedChart": (
+        lambda: prolong_chart(BASE, 2),
+        "ProlongedChart('T2(TB)', dim=(3|3))",
+    ),
+    "AntitangentChart": (
+        lambda: antitangent_chart(BASE),
+        "AntitangentChart('PiT(TB)', dim=(2|2))",
+    ),
+    "ProductChart": (
+        lambda: product_chart(BASE, BASE),
+        "ProductChart('TBxTB', dim=(2|2))",
+    ),
+}
+
+VALUE_REPRS = [
+    "Morphism('TB' -> 'TB')",
+    "SPoint(chart='TB', params='TP2')",
+    "SCurve(chart='TB', params='TP2', order=1)",
+    "Jet(chart='TB', order=1)",
+    "VectorField(chart='TB', parity=odd)",
+]
+
+
+class TestReprs:
+    @pytest.mark.parametrize("build, text", CHART_REPRS.values(), ids=CHART_REPRS)
+    def test_charts_show_their_class_name_and_dimension(self, build, text):
+        assert repr(build()) == text
+
+    @pytest.mark.parametrize(
+        "builder, text",
+        zip((build for build, _ in value_builders()), VALUE_REPRS),
+        ids=VALUE_TYPES,
+    )
+    def test_values_show_their_charts(self, builder, text):
+        assert repr(builder()) == text
+
+
 def test_documents_do_not_share_containers():
     first, second = Document(), Document()
     first.charts["M"] = BASE

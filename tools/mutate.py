@@ -245,6 +245,20 @@ MUTANTS = (
         "if True:",
         ("tests/test_types.py", "tests/test_prolongation.py"),
     ),
+    Mutant(
+        "series-orders-unchecked",
+        "sjet/grassmann.py",
+        "if self.order != other.order:",
+        "if False:",
+        ("tests/test_algebra.py",),
+    ),
+    Mutant(
+        "field-sum-charts-unchecked",
+        "sjet/fields.py",
+        "if self.chart is not other.chart:",
+        "if False:",
+        ("tests/test_fields.py",),
+    ),
 )
 
 
