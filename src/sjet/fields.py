@@ -55,7 +55,7 @@ class VectorField(_Value):
         values: Mapping[Generator, SuperPolynomial | Scalar],
     ):
         self.chart = chart
-        self.parity = parity
+        self.parity = parity = Parity(parity)
         self.values = values_on(
             chart, values, parity, allowed=chart, default=SuperPolynomial()
         )
@@ -76,8 +76,6 @@ class VectorField(_Value):
                 f"function uses generators outside '{self.chart.name}': {names}"
             )
         return derivation(f, self.values)
-
-    __call__ = apply
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values.values())

@@ -48,17 +48,21 @@ def _check_unique_names(kind: str, generators):
 class Chart(_Frozen):
     """An ordered coordinate system of even and odd generators, equal only to itself.
 
-    ``_lifts`` keeps the charts lifted from this one (see ``prolong_chart``)."""
+    It has at least one coordinate. ``_lifts`` keeps the charts lifted from
+    this one (see ``prolong_chart``); ``lift`` sets a lifted chart's slots."""
 
     __slots__ = ("name", "coordinates", "_by_name", "_coord_set", "_lifts")
 
-    def __init__(self, name: str, coordinates: tuple[Generator, ...]):
+    def __init__(self, name: str, coordinates: tuple[Generator, ...], **lift):
+        if not coordinates:
+            raise DeclarationError(f"chart '{name}' needs at least one coordinate")
         self._freeze(
             name=name,
             coordinates=coordinates,
             _by_name=_check_unique_names("coordinate", coordinates),
             _coord_set=frozenset(coordinates),
             _lifts={},
+            **lift,
         )
 
     @property
@@ -143,12 +147,12 @@ def values_on(
             value = _as_polynomial(value)
             if value is NotImplemented:
                 raise TypeError(f"the value on '{g.name}' must be a polynomial")
-        parity = offset ^ g.parity  # the sum of two parities
+        parity = offset + g.parity
         for p in (value,) if split is None else split(value):
             if not p.is_homogeneous(parity):
                 raise ParityError(
                     f"parity violation: value on '{g.name}' must be homogeneous "
-                    f"of parity {Parity(parity)}",
+                    f"of parity {parity}",
                     g.name,
                 )
             names = "" if allowed is None else foreign_names(p, allowed)
@@ -190,10 +194,10 @@ class Morphism(_Value):
     """A chart map recorded by its pullback on coordinates.
 
     ``assignment[y]`` is the polynomial over the source coordinates that the
-    target coordinate y pulls back to. Generators that are neither source
-    coordinates nor assigned by a composition partner are treated as
-    constants, which is how adjoined parameters ride along. Every
-    assignment must be homogeneous of its coordinate's parity.
+    target coordinate y pulls back to. A generator that is not a source
+    coordinate is an adjoined parameter: every operation on morphisms holds
+    it constant (see ``held``). Every assignment must be homogeneous of its
+    coordinate's parity.
     """
 
     __slots__ = ("source", "target", "assignment")
@@ -216,6 +220,17 @@ class Morphism(_Value):
         return f"Morphism({self.source.name!r} -> {self.target.name!r})"
 
 
+def held(images: Mapping, polynomials, constant) -> dict:
+    """``images`` plus ``constant(g)`` for each generator of ``polynomials``
+    with no image: the one rule that holds adjoined parameters constant."""
+    out = dict(images)
+    for p in polynomials:
+        for g in p.generators():
+            if g not in out:
+                out[g] = constant(g)
+    return out
+
+
 def compose(phi: Morphism, psi: Morphism) -> Morphism:
     """The composite phi after psi, recorded on pullbacks.
 
@@ -227,13 +242,8 @@ def compose(phi: Morphism, psi: Morphism) -> Morphism:
         raise CompositionError(
             f"cannot compose: '{psi.target.name}' is not '{phi.source.name}'"
         )
-    assignment = {}
-    sigma = dict(psi.assignment)
-    for y, f in phi.assignment.items():
-        for g in f.generators():
-            if g not in sigma:
-                sigma[g] = poly(g)
-        assignment[y] = substitute(f, sigma)
+    sigma = held(psi.assignment, phi.assignment.values(), poly)
+    assignment = {y: substitute(f, sigma) for y, f in phi.assignment.items()}
     return Morphism(psi.source, phi.target, assignment)
 
 

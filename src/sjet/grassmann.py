@@ -44,8 +44,6 @@ class Parity(IntEnum):
     def __add__(self, other):
         return ODD if (int(self) + int(other)) % 2 else EVEN
 
-    __radd__ = __add__
-
     def __str__(self):
         return "even" if self is Parity.EVEN else "odd"
 
@@ -80,17 +78,17 @@ class Generator(_Frozen):
     Generators compare by identity: declaring the same name twice gives two
     distinct symbols. The global declaration index fixes the canonical order
     of odd factors inside monomials, so canonical forms never depend on the
-    order in which terms were written down.
+    order in which terms were written down. The parity is stored as a
+    ``Parity``; a value that is not 0 or 1 is a ``ValueError``.
     """
 
     __slots__ = ("name", "parity", "weight", "index")
 
-    def __init__(self, name: str, parity: Parity, weight: int = 0, index=None):
+    def __init__(self, name: str, parity: Parity, weight: int = 0):
         if not name:
             raise DeclarationError("generator name must be nonempty")
-        if index is None:
-            index = next(_declaration_counter)
-        self._freeze(name=name, parity=parity, weight=weight, index=index)
+        index = next(_declaration_counter)
+        self._freeze(name=name, parity=Parity(parity), weight=weight, index=index)
 
     def __repr__(self):
         return f"Generator({self.name!r}, {self.parity})"

@@ -17,12 +17,11 @@ interchange morphism realises the identification.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import wraps
-from typing import Mapping, NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import DomainError, ParityError
-from .geometry import Chart, Morphism
+from .geometry import Chart, Morphism, held
 from .grassmann import (
     Generator,
     Parity,
@@ -43,10 +42,6 @@ class ProlongedChart(Chart):
 
     __slots__ = ("base", "order", "_jets")
 
-    def __init__(self, name, coordinates, base: Chart, order: int, jets: dict):
-        super().__init__(name, coordinates)
-        self._freeze(base=base, order=order, _jets=jets)
-
     def jet(self, base_coordinate: Generator, r: int) -> Generator:
         """The jet coordinate of a base coordinate at order r."""
         return self._jets[(base_coordinate, r)]
@@ -56,10 +51,6 @@ class AntitangentChart(Chart):
     """Chart extended by one parity-flipped differential per coordinate."""
 
     __slots__ = ("base", "_differentials")
-
-    def __init__(self, name, coordinates, base: Chart, differentials: dict):
-        super().__init__(name, coordinates)
-        self._freeze(base=base, _differentials=differentials)
 
     def differential_of(self, base_coordinate: Generator) -> Generator:
         return self._differentials[base_coordinate]
@@ -98,7 +89,9 @@ def prolong_chart(chart: Chart, k: int) -> ProlongedChart:
             jet = Generator(f"{g.name}@{r}", g.parity, weight=r)
             coordinates.append(jet)
             jets[(g, r)] = jet
-    return ProlongedChart(f"T{k}({chart.name})", tuple(coordinates), chart, k, jets)
+    return ProlongedChart(
+        f"T{k}({chart.name})", tuple(coordinates), base=chart, order=k, _jets=jets
+    )
 
 
 @_kept_with_base
@@ -110,14 +103,17 @@ def antitangent_chart(chart: Chart) -> AntitangentChart:
         d = Generator(f"d.{g.name}", g.parity + Parity.ODD, weight=g.weight)
         differentials[g] = d
         coords.append(d)
-    return AntitangentChart(f"PiT({chart.name})", tuple(coords), chart, differentials)
+    return AntitangentChart(
+        f"PiT({chart.name})", tuple(coords), base=chart, _differentials=differentials
+    )
 
 
 def prolong_morphism(phi: Morphism, k: int) -> Morphism:
     """Lift a morphism to k-th order jet charts.
 
     The lift substitutes the generic curve sum(x@r t^r) into each pullback
-    and assigns the coefficient of t^r to y@r.
+    and assigns the coefficient of t^r to y@r; an adjoined parameter is a
+    constant curve.
     """
     source = prolong_chart(phi.source, k)
     target = prolong_chart(phi.target, k)
@@ -125,6 +121,9 @@ def prolong_morphism(phi: Morphism, k: int) -> Morphism:
         g: TimeSeries([poly(source.jet(g, r)) for r in range(k + 1)])
         for g in phi.source.coordinates
     }
+    generic = held(
+        generic, phi.assignment.values(), lambda g: TimeSeries.constant(poly(g), k)
+    )
     assignment = {}
     for y in phi.target.coordinates:
         series = series_compose(phi.assignment[y], generic)
@@ -198,10 +197,9 @@ def interchange(chart: Chart, k: int) -> Morphism:
     return Morphism(source, target, assignment)
 
 
-LambdaLike = Union[Scalar, Generator, SuperPolynomial]
-
-
-def homothety(chart: ProlongedChart, lam: LambdaLike) -> Morphism:
+def homothety(
+    chart: ProlongedChart, lam: Scalar | Generator | SuperPolynomial
+) -> Morphism:
     """Rescale each jet coordinate of weight r by the r-th power of lam.
 
     lam may be an exact rational, an even generator adjoined as a symbolic
@@ -223,19 +221,16 @@ def homothety(chart: ProlongedChart, lam: LambdaLike) -> Morphism:
 
 
 class ProductChart(Chart):
-    """Chart with one renamed coordinate block per factor."""
+    """Chart with one renamed coordinate block per factor; ``_renamings``
+    holds the renaming of ``left`` and then that of ``right``."""
 
-    __slots__ = ("left", "right", "_left_map", "_right_map")
-
-    def __init__(self, name, coordinates, left, right, left_map, right_map):
-        super().__init__(name, coordinates)
-        self._freeze(left=left, right=right, _left_map=left_map, _right_map=right_map)
+    __slots__ = ("left", "right", "_renamings")
 
     def from_left(self, g: Generator) -> Generator:
-        return self._left_map[g]
+        return self._renamings[0][g]
 
     def from_right(self, g: Generator) -> Generator:
-        return self._right_map[g]
+        return self._renamings[1][g]
 
 
 @_kept_with_base
@@ -245,32 +240,27 @@ def product_chart(left: Chart, right: Chart) -> ProductChart:
     if lp == rp:
         lp, rp = f"{lp}1", f"{rp}2"
     coords = []
-    left_map = {}
-    right_map = {}
-    for g in left.coordinates:
-        renamed = Generator(f"{lp}_{g.name}", g.parity, weight=g.weight)
-        left_map[g] = renamed
-        coords.append(renamed)
-    for g in right.coordinates:
-        renamed = Generator(f"{rp}_{g.name}", g.parity, weight=g.weight)
-        right_map[g] = renamed
-        coords.append(renamed)
-    return ProductChart(
-        f"{left.name}x{right.name}", tuple(coords), left, right, left_map, right_map
-    )
+    maps = ({}, {})
+    # the left block is declared first, which fixes the canonical order
+    for factor, prefix, renaming in zip((left, right), (lp, rp), maps):
+        for g in factor.coordinates:
+            renaming[g] = Generator(f"{prefix}_{g.name}", g.parity, weight=g.weight)
+            coords.append(renaming[g])
+    name = f"{left.name}x{right.name}"
+    return ProductChart(name, tuple(coords), left=left, right=right, _renamings=maps)
 
 
 def product_morphism(phi: Morphism, psi: Morphism) -> Morphism:
     """The pair morphism acting factorwise on product charts."""
     source = product_chart(phi.source, psi.source)
     target = product_chart(phi.target, psi.target)
-    rename_left = {g: poly(source.from_left(g)) for g in phi.source.coordinates}
-    rename_right = {g: poly(source.from_right(g)) for g in psi.source.coordinates}
     assignment = {}
-    for y in phi.target.coordinates:
-        assignment[target.from_left(y)] = substitute(phi.assignment[y], rename_left)
-    for y in psi.target.coordinates:
-        assignment[target.from_right(y)] = substitute(psi.assignment[y], rename_right)
+    blocks = zip((phi, psi), source._renamings, target._renamings)
+    for factor, renamed_source, renamed_target in blocks:
+        images = {g: poly(renamed) for g, renamed in renamed_source.items()}
+        rename = held(images, factor.assignment.values(), poly)
+        for y, f in factor.assignment.items():
+            assignment[renamed_target[y]] = substitute(f, rename)
     return Morphism(source, target, assignment)
 
 
@@ -280,19 +270,16 @@ def product_prolong_identification(left: Chart, right: Chart, k: int) -> Morphis
     The morphism goes from the k-th lift of the product chart to the product
     of the k-th lifts, matching jet coordinates block by block.
     """
-    source = prolong_chart(product_chart(left, right), k)
+    product = product_chart(left, right)
+    source = prolong_chart(product, k)
     target = product_chart(prolong_chart(left, k), prolong_chart(right, k))
     assignment = {}
-    for g in left.coordinates:
-        for r in range(k + 1):
-            assignment[target.from_left(prolong_chart(left, k).jet(g, r))] = poly(
-                source.jet(product_chart(left, right).from_left(g), r)
-            )
-    for g in right.coordinates:
-        for r in range(k + 1):
-            assignment[target.from_right(prolong_chart(right, k).jet(g, r))] = poly(
-                source.jet(product_chart(left, right).from_right(g), r)
-            )
+    blocks = zip((target.left, target.right), product._renamings, target._renamings)
+    for jets, renamed, renamed_jets in blocks:
+        for g in jets.base.coordinates:
+            for r in range(k + 1):
+                jet = renamed_jets[jets.jet(g, r)]
+                assignment[jet] = poly(source.jet(renamed[g], r))
     return Morphism(source, target, assignment)
 
 

@@ -9,15 +9,18 @@ import pytest
 from hypothesis import given, settings
 
 from sjet import (
+    Chart,
     DeclarationError,
     DomainError,
     EVEN,
     Generator,
     Monomial,
+    Morphism,
     ODD,
     OrderError,
     ParityError,
     CoverageError,
+    SuperPolynomial,
     TIME,
     TimeSeries,
     const,
@@ -116,6 +119,17 @@ class TestCanonicalForm:
         p = normalize([(1, [X]), (-1, [X])])
         assert p.is_zero()
         assert not p.terms
+        assert not SuperPolynomial()
+        assert poly(X)
+
+    def test_integer_parities_are_parities(self):
+        a, b = Generator("ia", 1), Generator("ib", 0)
+        assert (a.parity, b.parity) == (ODD, EVEN)
+        assert a.parity is ODD and b.parity is EVEN
+        assert (poly(a) * poly(a)).is_zero()
+        assert print_canonical(poly(b) * poly(b)) == "ib^2"
+        chart = Chart("IC", (a, b))
+        assert Morphism.identity(chart).assignment == {a: poly(a), b: poly(b)}
 
 
 class TestProducts:
@@ -551,6 +565,16 @@ KERNEL_REFUSALS = {
         lambda: Generator("", EVEN),
         DeclarationError,
         "generator name must be nonempty",
+    ),
+    "parity-out-of-range": (
+        lambda: Generator("kbad", 2),
+        ValueError,
+        "2 is not a valid Parity",
+    ),
+    "parity-as-text": (
+        lambda: Generator("kbad", "odd"),
+        ValueError,
+        "'odd' is not a valid Parity",
     ),
     "no-coefficients": (
         lambda: TimeSeries([]),

@@ -527,6 +527,17 @@ class TestCommands:
         text = run(argv).payload
         assert text == "d/d x = -2*x*y + 1\nd/d y = 0\nd/d th = x^2*th + y*th"
 
+    def test_bracket_latex_of_a_vanishing_field(self, tmp_path):
+        path = tmp_path / "bracket.sman"
+        path.write_text(
+            "chart M (x: even, th: odd);\n"
+            "field X on M parity even { d/d x = x^2; d/d th = x*th; }\n",
+            encoding="utf-8",
+        )
+        argv = ["bracket", str(path), "--left", "X", "--right", "X"]
+        result = run(argv + ["--format", "latex"])
+        assert (result.exit_code, result.diagnostics, result.payload) == (0, (), "0")
+
     def test_homothety_rational(self, doc_file):
         result = run(
             [

@@ -298,6 +298,10 @@ LOCATED_ERRORS = {
         "chart M (x: even);\nfield D on M order 1/2 parity even { d/d x = x; }",
         ("the order must be an integer",), (2, 20),
     ),
+    "missing comma": (
+        "chart M (x: even y: odd);",
+        ("expected ',' or ')', found 'y'",), (1, 18),
+    ),
     "unknown parity": (
         "chart M (x: big);",
         ("expected 'even' or 'odd', found 'big'",), (1, 13),

@@ -176,6 +176,11 @@ class TestVectorFieldConstruction:
         field = VectorField(M, ODD, {X: poly(TH)})
         assert field.values[TH].is_zero()
 
+    def test_the_parity_is_a_parity(self):
+        assert VectorField(M, 1, {X: poly(TH)}).parity is ODD
+        with pytest.raises(ValueError, match="2 is not a valid Parity"):
+            VectorField(M, 2, {})
+
 
 class TestBracket:
     def test_self_bracket_of_the_differential_vanishes(self):
@@ -185,6 +190,12 @@ class TestBracket:
     def test_differential_degree_field_normalises_the_differential(self):
         fields = canonical_fields(M, 2)
         assert bracket(fields.delta1, fields.d) == fields.d
+
+    def test_an_integer_odd_parity_keeps_the_koszul_sign(self):
+        field = VectorField(M, 1, {X: poly(TH), TH: poly(X)})
+        square = bracket(field, field)
+        assert square.parity is EVEN
+        assert square.values == {X: 2 * poly(X), TH: 2 * poly(TH)}
 
     def test_even_self_bracket_vanishes(self):
         rng = seeded(73)

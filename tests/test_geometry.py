@@ -8,6 +8,7 @@ from sjet import (
     ComparisonError,
     CompositionError,
     CoverageError,
+    DeclarationError,
     EVEN,
     Generator,
     Jet,
@@ -53,8 +54,6 @@ class TestCharts:
         assert M.dimension == (1, 1)
 
     def test_coordinate_names_must_be_unique(self):
-        from sjet import DeclarationError
-
         with pytest.raises(DeclarationError):
             Chart("bad", (Generator("a", EVEN), Generator("a", ODD)))
 
@@ -474,6 +473,11 @@ def geometry_refusals():
             lambda: contact_equal(gamma, other, 1),
             ComparisonError,
             "curves use different parameter algebras",
+        ),
+        "empty-chart": (
+            lambda: Chart("E", ()),
+            DeclarationError,
+            "chart 'E' needs at least one coordinate",
         ),
     }
 

@@ -31,6 +31,7 @@ from sjet import (
     project,
     prolong_chart,
     prolong_morphism,
+    substitute,
     weight_report,
     zero_section,
 )
@@ -499,6 +500,89 @@ class TestProducts:
                 product_prolong_identification(a, b, k),
             )
             assert route_a == route_b
+
+
+def _with_parameters(rng, src, tgt, lam, eta):
+    """A random morphism whose assignments also use the even parameter lam
+    and the odd parameter eta, which are no coordinates of src."""
+    base = rand_morphism(rng, src, tgt)
+    assignment = {}
+    for y, f in base.assignment.items():
+        flipped = rand_poly(rng, src.coordinates, parity=y.parity + ODD)
+        assignment[y] = poly(lam) * f + poly(eta) * flipped
+    return Morphism(src, tgt, assignment)
+
+
+class TestAdjoinedParameters:
+    """A generator outside the source chart is held constant by every lift."""
+
+    def test_lifted_symbolic_homothety_specialises_to_the_rational_one(self):
+        lam = Generator("alam", EVEN)
+        lifted_chart = prolong_chart(M, 1)
+        lifted = prolong_morphism(homothety(lifted_chart, lam), 2)
+        three = {g: poly(g) for g in lifted.source.coordinates}
+        three[lam] = const(3)
+        specialised = Morphism(
+            lifted.source,
+            lifted.target,
+            {y: substitute(f, three) for y, f in lifted.assignment.items()},
+        )
+        assert specialised == prolong_morphism(homothety(lifted_chart, 3), 2)
+        top = prolong_chart(lifted_chart, 2)
+        jet = top.jet(lifted_chart.jet(X, 1), 2)
+        assert lifted.assignment[jet] == poly(lam) * poly(jet)
+
+    def test_the_interchange_square_holds_with_parameters(self):
+        rng = seeded(71)
+        lam, eta = Generator("ilam", EVEN), Generator("ieta", ODD)
+        for _ in range(8):
+            src, tgt = rand_chart(rng), rand_chart(rng)
+            phi = _with_parameters(rng, src, tgt, lam, eta)
+            k = rng.randint(0, 2)
+            route_a = compose(
+                interchange(tgt, k),
+                prolong_morphism(antitangent_morphism(phi), k),
+            )
+            route_b = compose(
+                antitangent_morphism(prolong_morphism(phi, k)),
+                interchange(src, k),
+            )
+            assert route_a == route_b
+
+    def test_lifting_respects_composition_with_parameters(self):
+        rng = seeded(73)
+        lam, eta = Generator("flam", EVEN), Generator("feta", ODD)
+        for _ in range(8):
+            a, b, c = rand_chart(rng), rand_chart(rng), rand_chart(rng)
+            psi = _with_parameters(rng, a, b, lam, eta)
+            phi = _with_parameters(rng, b, c, lam, eta)
+            k = rng.randint(0, 3)
+            assert prolong_morphism(compose(phi, psi), k) == compose(
+                prolong_morphism(phi, k), prolong_morphism(psi, k)
+            )
+
+    def test_pair_morphism_with_a_parameter_on_each_factor(self):
+        lam, mu = Generator("plam", EVEN), Generator("pmu", EVEN)
+        h = homothety(prolong_chart(M, 1), lam)
+        g = homothety(prolong_chart(N, 1), mu)
+        pair = product_morphism(h, g)
+        source = pair.source
+        x1 = source.from_left(prolong_chart(M, 1).jet(X, 1))
+        xi1 = source.from_right(prolong_chart(N, 1).jet(XI, 1))
+        assert pair.assignment[x1] == poly(lam) * poly(x1)
+        assert pair.assignment[xi1] == poly(mu) * poly(xi1)
+        square = product_morphism(h, h)
+        right_x1 = square.source.from_right(prolong_chart(M, 1).jet(X, 1))
+        assert square.assignment[right_x1] == poly(lam) * poly(right_x1)
+        route_a = compose(
+            product_prolong_identification(h.target, g.target, 1),
+            prolong_morphism(pair, 1),
+        )
+        route_b = compose(
+            product_morphism(prolong_morphism(h, 1), prolong_morphism(g, 1)),
+            product_prolong_identification(h.source, g.source, 1),
+        )
+        assert route_a == route_b
 
 
 class TestWeights:

@@ -214,6 +214,12 @@ class TestIdentityTypes:
         assert second.weight == 3
         assert repr(second) == "Generator('tsecond', odd)"
 
+    def test_the_declaration_counter_is_the_only_index(self):
+        with pytest.raises(TypeError, match="index"):
+            Generator("tindexed", ODD, index=0)
+        a, b = Generator("tanti1", ODD), Generator("tanti2", ODD)
+        assert (poly(a) * poly(b) + poly(b) * poly(a)).is_zero()
+
     def test_lifted_chart_lookups(self):
         jets = prolong_chart(BASE, 2)
         assert jets.base is BASE and jets.order == 2
@@ -254,6 +260,12 @@ class TestReprs:
     @pytest.mark.parametrize("build, text", CHART_REPRS.values(), ids=CHART_REPRS)
     def test_charts_show_their_class_name_and_dimension(self, build, text):
         assert repr(build()) == text
+
+    def test_polynomials_series_and_parameters_show_their_content(self):
+        p = poly(GX) ** 2 * poly(GTH) - 1
+        assert repr(p) == "SuperPolynomial('tx^2*tth - 1')"
+        assert repr(TimeSeries([1, poly(GX)])) == "TimeSeries([1, tx])"
+        assert repr(PARAMS) == "ParameterAlgebra('TP2', 1 generators)"
 
     @pytest.mark.parametrize(
         "builder, text",

@@ -259,6 +259,27 @@ MUTANTS = (
         "if False:",
         ("tests/test_fields.py",),
     ),
+    Mutant(
+        "lift-parameters-not-held",
+        "sjet/prolongation.py",
+        "generic, phi.assignment.values(),",
+        "generic, (),",
+        ("tests/test_prolongation.py",),
+    ),
+    Mutant(
+        "generator-parity-not-coerced",
+        "sjet/grassmann.py",
+        "parity=Parity(parity)",
+        "parity=parity",
+        ("tests/test_algebra.py",),
+    ),
+    Mutant(
+        "empty-chart-accepted",
+        "sjet/geometry.py",
+        "if not coordinates:",
+        "if False:",
+        ("tests/test_geometry.py",),
+    ),
 )
 
 
